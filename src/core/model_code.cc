@@ -8,7 +8,7 @@ json::Value CodeDescriptorFor(const models::ModelConfig& config) {
   doc.Set("channel_divisor", config.channel_divisor);
   doc.Set("num_classes", config.num_classes);
   doc.Set("image_size", config.image_size);
-  doc.Set("init_seed", static_cast<int64_t>(config.init_seed));
+  doc.Set("init_seed", json::Value::FromU64(config.init_seed));
   return doc;
 }
 
@@ -20,8 +20,7 @@ Result<models::ModelConfig> ConfigFromCodeDescriptor(const json::Value& doc) {
                          doc.GetInt("channel_divisor"));
   MMLIB_ASSIGN_OR_RETURN(config.num_classes, doc.GetInt("num_classes"));
   MMLIB_ASSIGN_OR_RETURN(config.image_size, doc.GetInt("image_size"));
-  MMLIB_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt("init_seed"));
-  config.init_seed = static_cast<uint64_t>(seed);
+  MMLIB_ASSIGN_OR_RETURN(config.init_seed, doc.GetU64("init_seed"));
   return config;
 }
 

@@ -60,7 +60,7 @@ json::Value LoaderOptionsToJson(const data::DataLoaderOptions& options) {
   doc.Set("num_classes", options.num_classes);
   doc.Set("shuffle", options.shuffle);
   doc.Set("augment", options.augment);
-  doc.Set("seed", static_cast<int64_t>(options.seed));
+  doc.Set("seed", json::Value::FromU64(options.seed));
   doc.Set("preprocess", options.preprocess.ToJson());
   return doc;
 }
@@ -73,8 +73,7 @@ Result<data::DataLoaderOptions> LoaderOptionsFromJson(
   MMLIB_ASSIGN_OR_RETURN(options.num_classes, doc.GetInt("num_classes"));
   MMLIB_ASSIGN_OR_RETURN(options.shuffle, doc.GetBool("shuffle"));
   MMLIB_ASSIGN_OR_RETURN(options.augment, doc.GetBool("augment"));
-  MMLIB_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt("seed"));
-  options.seed = static_cast<uint64_t>(seed);
+  MMLIB_ASSIGN_OR_RETURN(options.seed, doc.GetU64("seed"));
   MMLIB_ASSIGN_OR_RETURN(const json::Value* preprocess,
                          doc.GetMember("preprocess"));
   MMLIB_ASSIGN_OR_RETURN(options.preprocess,
@@ -88,7 +87,7 @@ json::Value TrainConfig::ToJson() const {
   json::Value doc = json::Value::MakeObject();
   doc.Set("epochs", epochs);
   doc.Set("max_batches_per_epoch", max_batches_per_epoch);
-  doc.Set("seed", static_cast<int64_t>(seed));
+  doc.Set("seed", json::Value::FromU64(seed));
   doc.Set("optimizer",
           optimizer == OptimizerKind::kAdam ? "adam" : "sgd");
   doc.Set("sgd", SgdOptionsToJson(sgd));
@@ -104,8 +103,7 @@ Result<TrainConfig> TrainConfig::FromJson(const json::Value& doc) {
   MMLIB_ASSIGN_OR_RETURN(config.epochs, doc.GetInt("epochs"));
   MMLIB_ASSIGN_OR_RETURN(config.max_batches_per_epoch,
                          doc.GetInt("max_batches_per_epoch"));
-  MMLIB_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt("seed"));
-  config.seed = static_cast<uint64_t>(seed);
+  MMLIB_ASSIGN_OR_RETURN(config.seed, doc.GetU64("seed"));
   MMLIB_ASSIGN_OR_RETURN(std::string optimizer, doc.GetString("optimizer"));
   if (optimizer == "sgd") {
     config.optimizer = OptimizerKind::kSgd;

@@ -1,6 +1,15 @@
 #include "hash/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "hash/sha256_internal.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define MMLIB_SHA256_X86 1
+#endif
 
 namespace mmlib {
 
@@ -41,94 +50,228 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef MMLIB_SHA256_X86
+
+// The SHA-NI compressor and its two helpers are the only code built for
+// these extensions; none of it runs unless CpuHasShaNi() said yes.
+#define MMLIB_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Four rounds: `msg` holds W[i..i+3], `k` points at K[i..i+3]. State is kept
+// in the register layout SHA256RNDS2 wants, ABEF and CDGH (A in the high
+// lane). Each SHA256RNDS2 does two rounds and returns the new ABEF; the old
+// ABEF is the new CDGH, so the two registers swap roles every call.
+MMLIB_SHA_NI_TARGET inline void ShaNiRounds4(__m128i* abef, __m128i* cdgh,
+                                             __m128i msg, const uint32_t* k) {
+  __m128i wk = _mm_add_epi32(
+      msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0e);  // W+K of rounds i+2, i+3 to the low half
+  *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, wk);
+}
+
+// Message schedule: from W[i-16..i-13], W[i-12..], W[i-8..], W[i-4..i-1]
+// returns W[i..i+3]. SHA256MSG1 adds sigma0 of the next word, the alignr
+// supplies W[i-7..i-4], SHA256MSG2 adds sigma1 of the words two back.
+MMLIB_SHA_NI_TARGET inline __m128i ShaNiSchedule(__m128i w16, __m128i w12,
+                                                 __m128i w8, __m128i w4) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12),
+                                  _mm_alignr_epi8(w4, w8, 4));
+  return _mm_sha256msg2_epu32(t, w4);
+}
+
+bool CpuHasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return ssse3 && sse41 && sha;
+}
+
+MMLIB_SHA_NI_TARGET void CompressShaNi(uint32_t state[8],
+                                       const uint8_t* blocks, size_t count) {
+  // Byte-swaps each 32-bit lane: message words are big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // Register names list lanes high to low. state[0..7] = a..h loads as
+  // DCBA and HGFE; SHA256RNDS2 wants ABEF and CDGH.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(blocks);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in), kByteSwap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), kByteSwap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), kByteSwap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), kByteSwap);
+    ShaNiRounds4(&abef, &cdgh, w0, kRoundConstants);
+    ShaNiRounds4(&abef, &cdgh, w1, kRoundConstants + 4);
+    ShaNiRounds4(&abef, &cdgh, w2, kRoundConstants + 8);
+    ShaNiRounds4(&abef, &cdgh, w3, kRoundConstants + 12);
+    // w0..w3 roll through the schedule: each is overwritten by the words 16
+    // positions later once its rounds are done.
+    for (int i = 16; i < 64; i += 16) {
+      w0 = ShaNiSchedule(w0, w1, w2, w3);
+      ShaNiRounds4(&abef, &cdgh, w0, kRoundConstants + i);
+      w1 = ShaNiSchedule(w1, w2, w3, w0);
+      ShaNiRounds4(&abef, &cdgh, w1, kRoundConstants + i + 4);
+      w2 = ShaNiSchedule(w2, w3, w0, w1);
+      ShaNiRounds4(&abef, &cdgh, w2, kRoundConstants + i + 8);
+      w3 = ShaNiSchedule(w3, w0, w1, w2);
+      ShaNiRounds4(&abef, &cdgh, w3, kRoundConstants + i + 12);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // Back to DCBA and HGFE.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // MMLIB_SHA256_X86
+
 }  // namespace
+
+namespace sha256_internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                      size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+CompressFn ShaNiCompressor() {
+#ifdef MMLIB_SHA256_X86
+  if (CpuHasShaNi()) {
+    return CompressShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+CompressFn ActiveCompressor() {
+  static const CompressFn compress = [] {
+    const CompressFn sha_ni = ShaNiCompressor();
+    return sha_ni != nullptr ? sha_ni : CompressPortable;
+  }();
+  return compress;
+}
+
+}  // namespace sha256_internal
 
 Sha256::Sha256() {
   std::memcpy(state_, kInitialState, sizeof(state_));
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t size) {
+  if (size == 0) {
+    return;
+  }
   total_bytes_ += size;
-  while (size > 0) {
-    if (buffer_size_ == 0 && size >= 64) {
-      ProcessBlock(data);
-      data += 64;
-      size -= 64;
-      continue;
-    }
+  const sha256_internal::CompressFn compress =
+      sha256_internal::ActiveCompressor();
+  if (buffer_size_ > 0) {
     const size_t take = std::min(size, 64 - buffer_size_);
     std::memcpy(buffer_ + buffer_size_, data, take);
     buffer_size_ += take;
     data += take;
     size -= take;
-    if (buffer_size_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_size_ = 0;
+    if (buffer_size_ < 64) {
+      return;
     }
+    compress(state_, buffer_, 1);
+    buffer_size_ = 0;
+  }
+  const size_t blocks = size / 64;
+  if (blocks > 0) {
+    compress(state_, data, blocks);
+    data += blocks * 64;
+    size -= blocks * 64;
+  }
+  if (size > 0) {
+    std::memcpy(buffer_, data, size);
+    buffer_size_ = size;
   }
 }
 
 Digest Sha256::Finish() {
+  const sha256_internal::CompressFn compress =
+      sha256_internal::ActiveCompressor();
   const uint64_t bit_length = total_bytes_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0x00;
-  while (buffer_size_ != 56) {
-    Update(&zero, 1);
+  // Padding: 0x80, zeros up to byte 56 of a block, then the big-endian bit
+  // length. If the 0x80 leaves no room for the length, it takes a second
+  // block.
+  buffer_[buffer_size_++] = 0x80;
+  if (buffer_size_ > 56) {
+    std::memset(buffer_ + buffer_size_, 0, 64 - buffer_size_);
+    compress(state_, buffer_, 1);
+    buffer_size_ = 0;
   }
-  uint8_t length_bytes[8];
+  std::memset(buffer_ + buffer_size_, 0, 56 - buffer_size_);
   for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<uint8_t>(bit_length >> (8 * (7 - i)));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_length >> (8 * (7 - i)));
   }
-  // Bypass total_bytes_ accounting for the length block itself.
-  total_bytes_ -= 8;
-  Update(length_bytes, 8);
+  compress(state_, buffer_, 1);
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -155,31 +298,53 @@ Digest Sha256::HashPair(const Digest& left, const Digest& right) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 (Intel, Kounavis & Berry): tables[k][b] is the CRC state
+// after byte b followed by k zero bytes, so eight input bytes fold into the
+// state with eight independent lookups per step instead of a serial chain
+// of eight. tables[0] is the classic byte-at-a-time table.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+    tables[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      }
-      entries[i] = c;
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
     }
   }
-};
+  return tables;
+}
 
-const Crc32Table& GetCrc32Table() {
-  static const Crc32Table* table = new Crc32Table();
-  return *table;
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian load, whatever the host byte order.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  const Crc32Table& table = GetCrc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ data[i]) & 0xff] ^ (c >> 8);
+  for (; size >= 8; size -= 8, data += 8) {
+    const uint32_t lo = c ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++data) {
+    c = t[0][(c ^ *data) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -27,7 +27,8 @@ struct Digest {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch; deterministic
-/// across platforms.
+/// across platforms. Blocks are compressed with the x86 SHA extensions when
+/// CPUID reports them, otherwise in portable C++; both give the same digests.
 class Sha256 {
  public:
   Sha256();
@@ -53,16 +54,15 @@ class Sha256 {
   static Digest HashPair(const Digest& left, const Digest& right);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t total_bytes_ = 0;
   uint8_t buffer_[64];
   size_t buffer_size_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Used for cheap
-/// frame checksums in the compression codec and file store.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8. Used
+/// for cheap frame checksums in the compression codec and file store.
+/// Chains: Crc32(b, nb, Crc32(a, na)) equals the CRC of a followed by b.
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 uint32_t Crc32(const Bytes& data);
 

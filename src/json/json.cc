@@ -2,6 +2,7 @@
 
 #include "check/check.h"
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,41 @@ Result<double> Value::GetNumber(std::string_view key) const {
 Result<int64_t> Value::GetInt(std::string_view key) const {
   MMLIB_ASSIGN_OR_RETURN(double d, GetNumber(key));
   return static_cast<int64_t>(d);
+}
+
+Value Value::FromU64(uint64_t u) {
+  constexpr uint64_t kLargestExactDouble = uint64_t{1} << 53;
+  if (u <= kLargestExactDouble) {
+    return Value(u);
+  }
+  return Value(std::to_string(u));
+}
+
+Result<uint64_t> Value::GetU64(std::string_view key) const {
+  MMLIB_ASSIGN_OR_RETURN(const Value* v, GetMember(key));
+  if (v->is_string()) {
+    const std::string& digits = v->as_string();
+    uint64_t u = 0;
+    const auto [end, error] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), u);
+    if (digits.empty() || error != std::errc() ||
+        end != digits.data() + digits.size()) {
+      return Status::InvalidArgument(
+          "JSON member is not an unsigned 64-bit decimal: " +
+          std::string(key));
+    }
+    return u;
+  }
+  if (v->is_number()) {
+    // Any integral double in [-2^63, 2^63) converts to int64 exactly.
+    const double d = v->as_number();
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+        d == std::trunc(d)) {
+      return static_cast<uint64_t>(static_cast<int64_t>(d));
+    }
+  }
+  return Status::InvalidArgument(
+      "JSON member is not an unsigned 64-bit integer: " + std::string(key));
 }
 
 Result<bool> Value::GetBool(std::string_view key) const {

@@ -52,6 +52,12 @@ class Value {
   static Value MakeObject() { return Value(Object{}); }
   static Value MakeArray() { return Value(Array{}); }
 
+  /// An unsigned 64-bit integer (a seed, say) that must survive a round
+  /// trip exactly. A JSON number here is a double, so a value above 2^53 is
+  /// written as its decimal string; smaller values stay numbers, as they
+  /// always were. Read it back with GetU64.
+  static Value FromU64(uint64_t u);
+
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
@@ -76,6 +82,10 @@ class Value {
   Result<std::string> GetString(std::string_view key) const;
   Result<double> GetNumber(std::string_view key) const;
   Result<int64_t> GetInt(std::string_view key) const;
+  /// Reads a FromU64 member: a decimal string, or an integral number. A
+  /// negative number is read as two's complement, which is how documents
+  /// written before FromU64 stored values of 2^63 and above.
+  Result<uint64_t> GetU64(std::string_view key) const;
   Result<bool> GetBool(std::string_view key) const;
   /// Returns the member if present and non-null, otherwise nullptr; never
   /// fails (for optional fields).

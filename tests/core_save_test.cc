@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/adaptive.h"
@@ -264,6 +265,34 @@ TEST_F(SaveServiceTest, ProvenanceRecoverReproducesTraining) {
       recoverer.Recover(derived.model_id, RecoverOptions{}).value();
   EXPECT_EQ(recovered.model.ParamsHash(), trained_hash);
   EXPECT_TRUE(recovered.checksum_verified);
+}
+
+// Seeds are replayed from the provenance documents, so every uint64_t must
+// survive JSON exactly, including those a double cannot hold.
+TEST_F(SaveServiceTest, ProvenanceReplaysFull64BitSeeds) {
+  for (const uint64_t seed :
+       {(uint64_t{1} << 53) + 1, std::numeric_limits<uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    models::ModelConfig config = config_;
+    config.init_seed = seed;
+    code_ = CodeDescriptorFor(config);
+    EXPECT_EQ(ConfigFromCodeDescriptor(code_).value().init_seed, seed);
+
+    ProvenanceSaveService service(backends_);
+    auto initial = service.SaveModel(MakeRequest(model_.get())).value();
+    auto provenance = TrainOnce(model_.get(), seed);
+    ASSERT_TRUE(provenance.ok());
+    const Digest trained_hash = model_->ParamsHash();
+    SaveRequest request = MakeRequest(model_.get(), initial.model_id);
+    request.provenance = &provenance.value();
+    auto derived = service.SaveModel(request).value();
+
+    ModelRecoverer recoverer(backends_);
+    auto recovered = recoverer.Recover(derived.model_id, RecoverOptions{});
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(recovered->checksum_verified);
+    EXPECT_EQ(recovered->model.ParamsHash(), trained_hash);
+  }
 }
 
 TEST_F(SaveServiceTest, ProvenanceStorageIsDatasetDominated) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
+
 #include "hash/merkle_tree.h"
 #include "hash/sha256.h"
+#include "hash/sha256_internal.h"
 #include "util/random.h"
 
 namespace mmlib {
@@ -65,6 +70,94 @@ TEST(Sha256Test, HashPairDependsOnOrder) {
   EXPECT_NE(Sha256::HashPair(a, b), Sha256::HashPair(b, a));
 }
 
+Bytes RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.NextBelow(256));
+  }
+  return data;
+}
+
+// Names the compressor this host runs, so a test log shows whether the
+// SHA-NI path was exercised.
+TEST(Sha256Test, ReportsActiveCompressor) {
+  const bool sha_ni =
+      sha256_internal::ActiveCompressor() != sha256_internal::CompressPortable;
+  std::printf("[ INFO     ] SHA-256 compressor: %s\n",
+              sha_ni ? "sha-ni" : "portable");
+  EXPECT_EQ(sha_ni, sha256_internal::ShaNiCompressor() != nullptr);
+}
+
+// The portable compressor runs on its own here, so it is checked on hosts
+// where Sha256 itself uses SHA-NI: one padded block of "abc" (FIPS 180-4).
+TEST(Sha256Test, PortableCompressorMatchesFipsVector) {
+  uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;  // message length in bits
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_internal::CompressPortable(state, block, 1);
+  const uint32_t expected[8] = {0xba7816bf, 0x8f01cfea, 0x414140de,
+                                0x5dae2223, 0xb00361a3, 0x96177a9c,
+                                0xb410ff61, 0xf20015ad};
+  EXPECT_TRUE(std::equal(std::begin(state), std::end(state), expected));
+}
+
+TEST(Sha256Test, ShaNiCompressorMatchesPortable) {
+  const sha256_internal::CompressFn sha_ni =
+      sha256_internal::ShaNiCompressor();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "CPUID reports no SHA-NI; only the portable compressor "
+                    "runs on this host";
+  }
+  Rng rng(11);
+  for (int run = 0; run < 50; ++run) {
+    const size_t blocks = 1 + rng.NextBelow(40);
+    const Bytes data = RandomBytes(blocks * 64, 100 + run);
+    uint32_t reference[8];
+    for (uint32_t& word : reference) {
+      word = static_cast<uint32_t>(rng.NextU64());
+    }
+    uint32_t accelerated[8];
+    std::copy(std::begin(reference), std::end(reference), accelerated);
+    sha256_internal::CompressPortable(reference, data.data(), blocks);
+    sha_ni(accelerated, data.data(), blocks);
+    EXPECT_TRUE(std::equal(std::begin(reference), std::end(reference),
+                           accelerated))
+        << "run " << run << ", " << blocks << " blocks";
+  }
+}
+
+// Every length around the padding boundaries (55/56/64 bytes and their
+// multiples), fed whole and in odd-sized pieces.
+TEST(Sha256Test, OneShotEqualsIncrementalAtEveryLength) {
+  const Bytes data = RandomBytes(257, 5);
+  for (size_t length = 0; length <= data.size(); ++length) {
+    const Digest one_shot = Sha256::Hash(data.data(), length);
+    for (size_t piece : {1, 3, 7, 13, 63, 65}) {
+      Sha256 hasher;
+      for (size_t pos = 0; pos < length; pos += piece) {
+        hasher.Update(data.data() + pos, std::min(piece, length - pos));
+      }
+      EXPECT_EQ(hasher.Finish(), one_shot)
+          << "length " << length << ", piece " << piece;
+    }
+  }
+}
+
+TEST(Sha256Test, OneShotEqualsIncrementalOnLargeBuffer) {
+  const Bytes data = RandomBytes(3 << 20, 6);
+  const Digest one_shot = Sha256::Hash(data);
+  Sha256 hasher;
+  size_t pos = 0;
+  for (size_t piece = 1; pos < data.size(); piece = piece * 3 + 1) {
+    const size_t take = std::min(piece, data.size() - pos);
+    hasher.Update(data.data() + pos, take);
+    pos += take;
+  }
+  EXPECT_EQ(hasher.Finish(), one_shot);
+}
+
 TEST(DigestTest, HexRoundtrip) {
   const Digest d = Sha256::Hash("roundtrip");
   auto restored = Digest::FromHex(d.ToHex());
@@ -92,6 +185,43 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const uint32_t original = Crc32(data);
   data[50] ^= 0x01;
   EXPECT_NE(Crc32(data), original);
+}
+
+// Bit-at-a-time CRC-32, the definition the table-driven code must match.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryAlignment) {
+  const Bytes data = RandomBytes(64 + 8, 7);
+  for (uint32_t seed : {0u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t length = 0; length <= 64; ++length) {
+        EXPECT_EQ(Crc32(data.data() + offset, length, seed),
+                  BitwiseCrc32(data.data() + offset, length, seed))
+            << "seed " << seed << ", offset " << offset << ", length "
+            << length;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossSplits) {
+  const Bytes data = RandomBytes(1000, 8);
+  const uint32_t whole = Crc32(data);
+  for (size_t split : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+    EXPECT_EQ(Crc32(data.data() + split, data.size() - split,
+                    Crc32(data.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 // --- Merkle tree ---

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "json/json.h"
 #include "util/random.h"
 
@@ -28,6 +30,37 @@ TEST(JsonValueTest, ObjectAccessors) {
   EXPECT_DOUBLE_EQ(doc.GetNumber("ratio").value(), 0.25);
   EXPECT_TRUE(doc.Has("name"));
   EXPECT_FALSE(doc.Has("missing"));
+}
+
+TEST(JsonValueTest, U64RoundtripsThroughText) {
+  for (const uint64_t u :
+       {uint64_t{0}, uint64_t{42}, uint64_t{1} << 53, (uint64_t{1} << 53) + 1,
+        std::numeric_limits<uint64_t>::max()}) {
+    Value doc = Value::MakeObject();
+    doc.Set("seed", Value::FromU64(u));
+    auto parsed = Parse(doc.Dump());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->GetU64("seed").value(), u);
+  }
+  // Values a double holds exactly keep their old numeric form.
+  Value small = Value::MakeObject();
+  small.Set("seed", Value::FromU64(42));
+  EXPECT_EQ(small.Dump(), "{\"seed\":42}");
+}
+
+TEST(JsonValueTest, GetU64ReadsLegacyNumbersAndRejectsJunk) {
+  // Older documents stored seeds >= 2^63 as negative int64 numbers.
+  auto legacy = Parse("{\"max\":-1,\"seed\":7}").value();
+  EXPECT_EQ(legacy.GetU64("max").value(),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(legacy.GetU64("seed").value(), 7u);
+  auto bad = Parse(
+      "{\"frac\":1.5,\"huge\":1e30,\"sign\":\"-1\",\"text\":\"12x\","
+      "\"empty\":\"\",\"over\":\"18446744073709551616\"}").value();
+  for (const char* key : {"frac", "huge", "sign", "text", "empty", "over"}) {
+    EXPECT_EQ(bad.GetU64(key).status().code(), StatusCode::kInvalidArgument)
+        << key;
+  }
 }
 
 TEST(JsonValueTest, AccessorsReportTypeMismatch) {
