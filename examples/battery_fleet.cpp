@@ -83,8 +83,8 @@ int main() {
   };
   std::vector<Vehicle> fleet(kVehicles);
   for (int v = 0; v < kVehicles; ++v) {
-    fleet[v].model = models::BuildModel(config).value();
-    (void)fleet[v].model.LoadParams(initial.SerializeParams());
+    fleet[v].model =
+        models::LoadModel(config, initial.SerializeParams()).value();
     models::ApplyPartialUpdateFreeze(&fleet[v].model);
     fleet[v].reported_id = u1_save.model_id;
   }

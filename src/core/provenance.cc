@@ -1,5 +1,6 @@
 #include "core/provenance.h"
 
+#include "compress/chunked.h"
 #include "data/archive.h"
 
 namespace mmlib::core {
@@ -29,10 +30,15 @@ Result<SaveResult> ProvenanceSaveService::DoSaveModel(
     prov_doc.Set("train_service", prov.train_service_doc);
 
     // Stateful wrapper state files (paper Figure 5: the optimizer's state
-    // is saved in a state file referenced from its wrapper).
+    // is saved in a state file referenced from its wrapper). Stored in the
+    // CRC-checked chunked frame, uncompressed, so recovery detects a state
+    // file damaged in flight and re-fetches it.
     if (!prov.optimizer_state.empty()) {
-      MMLIB_ASSIGN_OR_RETURN(std::string state_file,
-                             txn.SaveFile(prov.optimizer_state));
+      MMLIB_ASSIGN_OR_RETURN(
+          Bytes framed,
+          ChunkedFrame(prov.optimizer_state, CodecKind::kIdentity,
+                       kDefaultChunkSize, backends_.pool));
+      MMLIB_ASSIGN_OR_RETURN(std::string state_file, txn.SaveFile(framed));
       prov_doc.Set("optimizer_state_file", state_file);
     }
 

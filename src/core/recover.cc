@@ -13,10 +13,10 @@ namespace {
 
 constexpr int kMaxChainDepth = 4096;
 
-/// Parameter payloads written by current save services are chunked frames;
-/// payloads from before the chunked container are raw serializations.
-/// Auto-detect and decode accordingly.
-Result<Bytes> DecodeParamsPayload(Bytes raw, util::ThreadPool* pool) {
+/// Parameter payloads and optimizer state files written by current save
+/// services are chunked frames; payloads from before the chunked container
+/// are raw serializations. Auto-detect and decode accordingly.
+Result<Bytes> DecodePayload(Bytes raw, util::ThreadPool* pool) {
   if (IsChunkedFrame(raw)) {
     return ChunkedUnframe(raw, pool);
   }
@@ -47,14 +47,14 @@ class PhaseTimer {
 
 }  // namespace
 
-Result<Bytes> ModelRecoverer::FetchParamsPayload(const std::string& file_id) {
+Result<Bytes> ModelRecoverer::FetchPayload(const std::string& file_id) {
   // The per-chunk CRC-32 of the chunked frame catches payloads damaged in
   // flight; the stored copy is intact, so the cure is a re-fetch, not an
   // abort. Legacy raw payloads carry no checksums and decode as-is.
   return FetchDecoded(
       backends_.files, file_id,
       [this](Bytes raw) {
-        return DecodeParamsPayload(std::move(raw), backends_.pool);
+        return DecodePayload(std::move(raw), backends_.pool);
       },
       &corruption_refetches_);
 }
@@ -133,8 +133,8 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                            backends_.docs->Get(kCodeCollection, code_id));
     MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
                            code_doc.GetMember("descriptor"));
-    MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildModelFromCode(*descriptor));
-    MMLIB_RETURN_IF_ERROR(model.LoadParams(*snapshot));
+    MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                           LoadModelFromCode(*descriptor, *snapshot));
     breakdown->recover_seconds += recover_timer.Stop();
     return model;
   }
@@ -147,14 +147,14 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     MMLIB_ASSIGN_OR_RETURN(std::string code_id, doc.GetString("code_doc"));
     MMLIB_ASSIGN_OR_RETURN(json::Value code_doc,
                            backends_.docs->Get(kCodeCollection, code_id));
-    MMLIB_ASSIGN_OR_RETURN(Bytes params, FetchParamsPayload(params_file));
+    MMLIB_ASSIGN_OR_RETURN(Bytes params, FetchPayload(params_file));
     breakdown->load_seconds += load_timer.Stop();
 
     PhaseTimer recover_timer(backends_.network);
     MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
                            code_doc.GetMember("descriptor"));
-    MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildModelFromCode(*descriptor));
-    MMLIB_RETURN_IF_ERROR(model.LoadParams(params));
+    MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                           LoadModelFromCode(*descriptor, params));
     breakdown->recover_seconds += recover_timer.Stop();
     if (cache_enabled_) {
       CacheInsert(id, std::move(params));
@@ -176,7 +176,7 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     PhaseTimer load_timer(backends_.network);
     MMLIB_ASSIGN_OR_RETURN(std::string update_file,
                            doc.GetString("update_file"));
-    MMLIB_ASSIGN_OR_RETURN(Bytes update, FetchParamsPayload(update_file));
+    MMLIB_ASSIGN_OR_RETURN(Bytes update, FetchPayload(update_file));
     breakdown->load_seconds += load_timer.Stop();
 
     PhaseTimer recover_timer(backends_.network);
@@ -200,8 +200,10 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     if (const json::Value* state_ref =
             prov_doc.FindMember("optimizer_state_file");
         state_ref != nullptr) {
+      // Framed like parameter payloads (legacy raw state files still load),
+      // so a state file damaged in flight is re-fetched, not replayed.
       MMLIB_ASSIGN_OR_RETURN(optimizer_state,
-                             backends_.files->LoadFile(state_ref->as_string()));
+                             FetchPayload(state_ref->as_string()));
     }
 
     std::unique_ptr<data::Dataset> dataset;

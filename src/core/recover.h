@@ -91,9 +91,10 @@ class ModelRecoverer {
   Result<nn::Model> RecoverInternal(const std::string& id,
                                     RecoverBreakdown* breakdown, int depth);
 
-  /// Loads a parameter payload (snapshot or layer update), decoding chunked
-  /// frames and re-fetching when a chunk checksum fails.
-  Result<Bytes> FetchParamsPayload(const std::string& file_id);
+  /// Loads a parameter payload (snapshot or layer update) or an optimizer
+  /// state file, decoding chunked frames and re-fetching when a chunk
+  /// checksum fails.
+  Result<Bytes> FetchPayload(const std::string& file_id);
 
   /// Returns the cached snapshot for `id`, refreshing its LRU position;
   /// nullptr on miss or when the cache is disabled.

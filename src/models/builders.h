@@ -19,7 +19,7 @@ namespace mmlib::models::internal {
 /// Shared state threaded through architecture builders.
 struct BuilderCtx {
   nn::Model* model;
-  Rng* rng;
+  Rng* rng;  // null: weights stay zero-filled
   int64_t divisor;
 
   /// Scales a full-size channel width by the configured divisor.
@@ -41,10 +41,11 @@ int64_t ConvBnRelu(BuilderCtx* ctx, const std::string& name,
                    int64_t groups = 1, float relu_clip = 0.0f);
 
 /// Architecture builders; channel widths are full-size values scaled by the
-/// config divisor inside.
-Result<nn::Model> BuildResNet(const ModelConfig& config);
-Result<nn::Model> BuildMobileNetV2(const ModelConfig& config);
-Result<nn::Model> BuildGoogLeNet(const ModelConfig& config);
+/// config divisor inside. Weights are drawn from `rng` in layer order, or
+/// left zero-filled when `rng` is null (see models::LoadModel).
+Result<nn::Model> BuildResNet(const ModelConfig& config, Rng* rng);
+Result<nn::Model> BuildMobileNetV2(const ModelConfig& config, Rng* rng);
+Result<nn::Model> BuildGoogLeNet(const ModelConfig& config, Rng* rng);
 
 }  // namespace mmlib::models::internal
 

@@ -54,18 +54,35 @@ ModelConfig FullScaleConfig(Architecture arch) {
   return config;
 }
 
-Result<nn::Model> BuildModel(const ModelConfig& config) {
+namespace {
+
+/// Dispatches to the architecture's builder; `rng` is null for LoadModel.
+Result<nn::Model> BuildArchitecture(const ModelConfig& config, Rng* rng) {
   switch (config.arch) {
     case Architecture::kMobileNetV2:
-      return internal::BuildMobileNetV2(config);
+      return internal::BuildMobileNetV2(config, rng);
     case Architecture::kGoogLeNet:
-      return internal::BuildGoogLeNet(config);
+      return internal::BuildGoogLeNet(config, rng);
     case Architecture::kResNet18:
     case Architecture::kResNet50:
     case Architecture::kResNet152:
-      return internal::BuildResNet(config);
+      return internal::BuildResNet(config, rng);
   }
   return Status::InvalidArgument("unknown architecture");
+}
+
+}  // namespace
+
+Result<nn::Model> BuildModel(const ModelConfig& config) {
+  Rng rng(config.init_seed);
+  return BuildArchitecture(config, &rng);
+}
+
+Result<nn::Model> LoadModel(const ModelConfig& config, const Bytes& params) {
+  MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                         BuildArchitecture(config, /*rng=*/nullptr));
+  MMLIB_RETURN_IF_ERROR(model.LoadParams(params));
+  return model;
 }
 
 bool IsClassifierLayer(const nn::Layer& layer) {

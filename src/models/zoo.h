@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/model.h"
+#include "util/bytes.h"
 #include "util/result.h"
 
 namespace mmlib::models {
@@ -53,6 +54,15 @@ ModelConfig FullScaleConfig(Architecture arch);
 /// Instantiates the architecture with freshly initialized weights drawn
 /// deterministically from config.init_seed.
 Result<nn::Model> BuildModel(const ModelConfig& config);
+
+/// Instantiates the architecture with every parameter and buffer taken from
+/// `params` (a Model::SerializeParams snapshot of the same architecture).
+/// No weight is drawn from config.init_seed: the layers are allocated
+/// zero-filled and then loaded, so recovery skips the random init that the
+/// snapshot would overwrite. Returns Corruption when the snapshot's layers,
+/// parameters or shapes differ from the architecture's, or when it is
+/// truncated or has trailing bytes; a partly loaded model is never returned.
+Result<nn::Model> LoadModel(const ModelConfig& config, const Bytes& params);
 
 /// True for the classifier-head layers — the layers that stay trainable in
 /// the paper's *partially updated model version* setting ("only the last

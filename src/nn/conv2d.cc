@@ -35,13 +35,15 @@ Conv2d::Conv2d(std::string name, int64_t in_channels, int64_t out_channels,
       groups_(groups),
       group_in_(in_channels / groups),
       group_out_(out_channels / groups) {
+  Shape weight_shape{out_channels, group_in_, kernel_size, kernel_size};
+  if (rng == nullptr) {
+    AddParam("weight", Tensor(std::move(weight_shape)));
+    return;
+  }
   // Kaiming-normal initialization: std = sqrt(2 / fan_in).
   const int64_t fan_in = group_in_ * kernel_size * kernel_size;
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  AddParam("weight",
-           Tensor::Gaussian(
-               Shape{out_channels, group_in_, kernel_size, kernel_size},
-               stddev, rng));
+  AddParam("weight", Tensor::Gaussian(std::move(weight_shape), stddev, rng));
 }
 
 void Conv2d::GatherPatch(const float* input, int64_t height, int64_t width,

@@ -22,6 +22,8 @@ namespace mmlib::nn {
 /// overhead comparison).
 class Conv2d : public Layer {
  public:
+  /// Draws the weight Kaiming-normal from `rng`; a null `rng` leaves it
+  /// zero-filled for a caller that overwrites it (model recovery).
   Conv2d(std::string name, int64_t in_channels, int64_t out_channels,
          int64_t kernel_size, int64_t stride, int64_t padding, int64_t groups,
          Rng* rng);

@@ -22,6 +22,11 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features,
     : Layer(std::move(name)),
       in_features_(in_features),
       out_features_(out_features) {
+  if (rng == nullptr) {
+    AddParam("weight", Tensor(Shape{out_features, in_features}));
+    AddParam("bias", Tensor(Shape{out_features}));
+    return;
+  }
   const float bound = 1.0f / std::sqrt(static_cast<float>(in_features));
   AddParam("weight",
            Tensor::Uniform(Shape{out_features, in_features}, -bound, bound,

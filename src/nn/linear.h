@@ -9,7 +9,9 @@
 namespace mmlib::nn {
 
 /// Fully connected layer: y = x W^T + b with input [N, in] and output
-/// [N, out]. Weights are Kaiming-uniform initialized from `rng`.
+/// [N, out]. Weights are Kaiming-uniform initialized from `rng`; a null
+/// `rng` leaves weight and bias zero-filled for a caller that overwrites
+/// them (model recovery).
 ///
 /// Deterministic executions of non-trivial shapes run through a
 /// kernels::LinearPlan (packed cache-blocked GEMM); tiny shapes and all

@@ -94,15 +94,16 @@ TEST_F(SaveServiceTest, CodeDescriptorRoundtrip) {
   EXPECT_EQ(restored.image_size, config_.image_size);
   EXPECT_EQ(restored.init_seed, config_.init_seed);
 
-  auto rebuilt = BuildModelFromCode(code_).value();
+  auto rebuilt = LoadModelFromCode(code_, model_->SerializeParams()).value();
   EXPECT_EQ(rebuilt.ArchitectureFingerprint(),
             model_->ArchitectureFingerprint());
+  EXPECT_EQ(rebuilt.ParamsHash(), model_->ParamsHash());
 }
 
 TEST_F(SaveServiceTest, CodeDescriptorRejectsUnknownArchitecture) {
   json::Value bad = code_;
   bad.Set("architecture", "AlexNet");
-  EXPECT_FALSE(BuildModelFromCode(bad).ok());
+  EXPECT_FALSE(LoadModelFromCode(bad, model_->SerializeParams()).ok());
 }
 
 // --- Baseline ---
@@ -118,6 +119,26 @@ TEST_F(SaveServiceTest, BaselineSaveRecoverIsLossless) {
   EXPECT_EQ(recovered.model.ParamsHash(), model_->ParamsHash());
   EXPECT_TRUE(recovered.checksum_verified);
   EXPECT_TRUE(recovered.environment_matches);
+}
+
+TEST_F(SaveServiceTest, SnapshotCacheHitRecoversIdenticalParams) {
+  // Trained, so no parameter equals its seeded init or zero.
+  ASSERT_TRUE(TrainOnce(model_.get(), 3).ok());
+  BaselineSaveService service(backends_);
+  const std::string id =
+      service.SaveModel(MakeRequest(model_.get())).value().model_id;
+
+  ModelRecoverer recoverer(backends_);
+  recoverer.EnableSnapshotCache(64 << 20);
+  auto first = recoverer.Recover(id, RecoverOptions{}).value();
+  EXPECT_EQ(recoverer.cache_hits(), 0u);
+  auto second = recoverer.Recover(id, RecoverOptions{}).value();
+  EXPECT_EQ(recoverer.cache_hits(), 1u);
+  EXPECT_TRUE(second.checksum_verified);
+  EXPECT_EQ(second.model.SerializeParams(), model_->SerializeParams());
+  EXPECT_EQ(second.model.SerializeParams(), first.model.SerializeParams());
+  EXPECT_EQ(second.model.ArchitectureFingerprint(),
+            model_->ArchitectureFingerprint());
 }
 
 TEST_F(SaveServiceTest, BaselineStorageIsIndependentOfBase) {

@@ -9,12 +9,16 @@
 #include <vector>
 
 #include "audit/determinism_auditor.h"
+#include "compress/chunked.h"
 #include "core/baseline.h"
 #include "core/fetch.h"
 #include "core/model_code.h"
 #include "core/param_update.h"
+#include "core/provenance.h"
 #include "core/recover.h"
 #include "core/save_txn.h"
+#include "core/train_service.h"
+#include "data/dataset.h"
 #include "dist/flow.h"
 #include "docstore/document_store.h"
 #include "filestore/file_store.h"
@@ -446,12 +450,18 @@ TEST(SaveRollbackTest, TransactionKeepsWritesAfterCommit) {
 /// byte — the stored copy stays intact, exactly like in-flight corruption.
 class CorruptingFileStore : public filestore::FileStore {
  public:
-  CorruptingFileStore(filestore::FileStore* backend, int corrupt_loads)
-      : backend_(backend), remaining_(corrupt_loads) {}
+  /// Damages the first `corrupt_loads` loads; with `only_id` set, only loads
+  /// of that file count and are damaged.
+  CorruptingFileStore(filestore::FileStore* backend, int corrupt_loads,
+                      std::string only_id = "")
+      : backend_(backend),
+        remaining_(corrupt_loads),
+        only_id_(std::move(only_id)) {}
 
   Result<Bytes> LoadFile(const std::string& id) override {
     auto loaded = backend_->LoadFile(id);
-    if (loaded.ok() && remaining_ > 0) {
+    if (loaded.ok() && remaining_ > 0 &&
+        (only_id_.empty() || id == only_id_)) {
       --remaining_;
       Bytes damaged = std::move(loaded).value();
       if (!damaged.empty()) {
@@ -478,6 +488,7 @@ class CorruptingFileStore : public filestore::FileStore {
  private:
   filestore::FileStore* backend_;
   int remaining_;
+  std::string only_id_;
 };
 
 class RefetchTest : public ::testing::Test {
@@ -498,11 +509,45 @@ class RefetchTest : public ::testing::Test {
     return request;
   }
 
+  /// MPA-saves a derived model whose provenance carries SGD momentum state
+  /// (a first training leaves it non-zero); returns the model id and the
+  /// id of its optimizer state file.
+  std::string SaveMomentumProvenanceModel(std::string* state_file) {
+    core::TrainConfig config;
+    config.epochs = 1;
+    config.max_batches_per_epoch = 1;
+    config.loader.batch_size = 4;
+    config.loader.image_size = 28;
+    config.loader.num_classes = 10;
+    config.sgd.momentum = 0.9f;
+    core::ImageTrainService trainer(&dataset_, config);
+    EXPECT_TRUE(trainer.Train(model_.get(), true, 0).ok());
+    core::ProvenanceSaveService service(backends_);
+    const std::string base_id =
+        service.SaveModel(MakeRequest()).value().model_id;
+    core::ProvenanceData provenance = trainer.CaptureProvenance().value();
+    EXPECT_FALSE(provenance.optimizer_state.empty());
+    EXPECT_TRUE(trainer.Train(model_.get(), true, 0).ok());
+    core::SaveRequest request = MakeRequest(base_id);
+    request.provenance = &provenance;
+    const std::string id = service.SaveModel(request).value().model_id;
+
+    const json::Value doc = docs_.Get(core::kModelsCollection, id).value();
+    const json::Value prov_doc =
+        docs_.Get(core::kProvenanceCollection,
+                  doc.GetString("provenance_doc").value())
+            .value();
+    *state_file = prov_doc.GetString("optimizer_state_file").value();
+    return id;
+  }
+
   docstore::InMemoryDocumentStore docs_;
   filestore::InMemoryFileStore files_;
   core::StorageBackends backends_;
   std::unique_ptr<nn::Model> model_;
   env::EnvironmentInfo environment_;
+  data::SyntheticImageDataset dataset_{data::PaperDatasetId::kCocoOutdoor512,
+                                       /*size_divisor=*/4096};
 };
 
 TEST_F(RefetchTest, RecovererRefetchesCorruptedChunks) {
@@ -535,6 +580,43 @@ TEST_F(RefetchTest, PersistentCorruptionEventuallyFails) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(recoverer.corruption_refetches(),
             static_cast<uint64_t>(core::kMaxFetchAttempts - 1));
+}
+
+TEST_F(RefetchTest, ProvenanceRecoverRefetchesCorruptedOptimizerState) {
+  std::string state_file;
+  const std::string id = SaveMomentumProvenanceModel(&state_file);
+
+  // The first fetch of the state file arrives with one byte flipped: its
+  // frame checksum fails and the recoverer re-requests it instead of
+  // replaying the training from damaged momentum.
+  CorruptingFileStore flaky(&files_, /*corrupt_loads=*/1, state_file);
+  core::StorageBackends flaky_backends{&docs_, &flaky, nullptr, nullptr};
+  core::ModelRecoverer recoverer(flaky_backends);
+  auto recovered = recoverer.Recover(id, core::RecoverOptions{});
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered->checksum_verified);
+  EXPECT_EQ(recoverer.corruption_refetches(), 1u);
+  EXPECT_EQ(recovered->model.ParamsHash().ToHex(),
+            model_->ParamsHash().ToHex());
+}
+
+TEST_F(RefetchTest, ProvenanceRecoverLoadsLegacyRawOptimizerState) {
+  std::string state_file;
+  const std::string id = SaveMomentumProvenanceModel(&state_file);
+
+  // Stores written before state files were framed hold the raw state.
+  const Bytes framed = files_.LoadFile(state_file).value();
+  ASSERT_TRUE(IsChunkedFrame(framed));
+  ASSERT_TRUE(
+      files_.WriteAllocated(state_file, ChunkedUnframe(framed).value()).ok());
+
+  core::ModelRecoverer recoverer(backends_);
+  auto recovered = recoverer.Recover(id, core::RecoverOptions{});
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered->checksum_verified);
+  EXPECT_EQ(recoverer.corruption_refetches(), 0u);
+  EXPECT_EQ(recovered->model.ParamsHash().ToHex(),
+            model_->ParamsHash().ToHex());
 }
 
 TEST_F(RefetchTest, ParamUpdateSaveRefetchesCorruptedBaseMerkleTree) {

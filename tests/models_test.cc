@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "models/zoo.h"
 
 namespace mmlib::models {
@@ -72,6 +75,59 @@ TEST_P(ZooForward, FingerprintStableAcrossInitSeeds) {
   EXPECT_EQ(a->ArchitectureFingerprint(), b->ArchitectureFingerprint());
 }
 
+/// A small build configuration for the recovery tests below.
+ModelConfig TinyConfig(Architecture arch) {
+  ModelConfig config = DefaultConfig(arch);
+  config.channel_divisor = 8;
+  config.image_size = 28;
+  config.num_classes = 10;
+  return config;
+}
+
+TEST_P(ZooForward, LoadModelEqualsBuildThenLoadParams) {
+  const ModelConfig config = TinyConfig(GetParam());
+  ModelConfig source_config = config;
+  source_config.init_seed = 777;
+  const Bytes snapshot = BuildModel(source_config)->SerializeParams();
+
+  auto reference = BuildModel(config);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->LoadParams(snapshot).ok());
+  auto loaded = LoadModel(config, snapshot);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  EXPECT_EQ(loaded->SerializeParams(), reference->SerializeParams());
+  EXPECT_EQ(loaded->SerializeParams(), snapshot);
+  EXPECT_EQ(loaded->ParamsHash(), reference->ParamsHash());
+  EXPECT_EQ(loaded->ArchitectureFingerprint(),
+            reference->ArchitectureFingerprint());
+}
+
+TEST_P(ZooForward, LoadModelRejectsSnapshotsThatDoNotFit) {
+  const ModelConfig config = TinyConfig(GetParam());
+  const Bytes snapshot = BuildModel(config)->SerializeParams();
+
+  const Architecture other_arch = GetParam() == Architecture::kResNet18
+                                      ? Architecture::kResNet50
+                                      : Architecture::kResNet18;
+  EXPECT_EQ(LoadModel(TinyConfig(other_arch), snapshot).status().code(),
+            StatusCode::kCorruption);
+
+  ModelConfig wider_head = config;
+  wider_head.num_classes = 11;
+  EXPECT_EQ(LoadModel(wider_head, snapshot).status().code(),
+            StatusCode::kCorruption);
+
+  const Bytes truncated(snapshot.begin(), snapshot.end() - 1);
+  EXPECT_EQ(LoadModel(config, truncated).status().code(),
+            StatusCode::kCorruption);
+
+  Bytes trailing = snapshot;
+  trailing.push_back(0);
+  EXPECT_EQ(LoadModel(config, trailing).status().code(),
+            StatusCode::kCorruption);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllArchitectures, ZooForward, ::testing::ValuesIn(AllArchitectures()),
     [](const ::testing::TestParamInfo<Architecture>& info) {
@@ -83,6 +139,32 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(ZooTest, InitDigestsArePinned) {
+  // ParamsHash of a freshly built model at a fixed seed and divisor. Any
+  // change to the order, count or distribution of the seeded weight draws
+  // changes these digests.
+  const std::map<Architecture, std::string> expected = {
+      {Architecture::kMobileNetV2,
+       "17ae4f20d1f89a908931d154b3bd8528f72280b1ec24ae1599ebe2b2d78eb467"},
+      {Architecture::kGoogLeNet,
+       "9f133e4c03dad3d4732cdb2de7d87cfd9d604b2417495111f950ba9d1800a4e0"},
+      {Architecture::kResNet18,
+       "6912bf65dc7de761b44e5762ff2fa75028e0c57190409f81248d25fcdd6e5daa"},
+      {Architecture::kResNet50,
+       "398f075ea0e0b77f838629bed8ce6c1409582f38ac819724ef46151b31d69bcb"},
+      {Architecture::kResNet152,
+       "3c43964e6a36abb889e0ff426e15a83d6b82f082f3fa55f91662a36b347445fe"},
+  };
+  for (Architecture arch : AllArchitectures()) {
+    ModelConfig config = TinyConfig(arch);
+    config.init_seed = 20221;
+    auto model = BuildModel(config);
+    ASSERT_TRUE(model.ok()) << model.status();
+    EXPECT_EQ(model->ParamsHash().ToHex(), expected.at(arch))
+        << ArchitectureName(arch);
+  }
+}
 
 TEST(ZooTest, ArchitectureNamesRoundtrip) {
   for (Architecture arch : AllArchitectures()) {
