@@ -8,8 +8,8 @@
 /// bit-identical per seed (run twice, digests compared). A CoreBackend run
 /// serves real save/recover/probe/inference ops over replicated stores and
 /// reports the hedged-read traffic. Writes BENCH_serving.json. `--smoke`
-/// shrinks the horizons and gates only the bit-identity invariants (exit
-/// code), not the throughput numbers.
+/// shrinks the horizons, gates only the bit-identity invariants (exit
+/// code), not the throughput numbers, and writes no file.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -66,8 +66,8 @@ serve::ServeReport RunSimulated(double rate, Degradation degradation,
       network.ScheduleReplicaRestart(1, 0.6 * horizon);
       break;
     case Degradation::kMinorityPartition:
-      network.SchedulePartition(0.2 * horizon, {{2}});
-      network.ScheduleHeal(0.6 * horizon);
+      network.ScheduleReplicaPartition(0.2 * horizon, {{2}});
+      network.ScheduleReplicaHeal(0.6 * horizon);
       break;
   }
 
@@ -340,49 +340,54 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(core.report.counters.hedge_wins));
 
   // --- BENCH_serving.json --------------------------------------------------
-  json::Value doc = json::Value::MakeObject();
-  doc.Set("bench", "micro_serving");
-  bench::SetHostMetadata(&doc, /*pool_size=*/0);
-  doc.Set("smoke", g_smoke);
-  doc.Set("horizon_seconds", HorizonSeconds());
-  doc.Set("load_sweep", std::move(sweep_rows));
+  // Smoke runs gate bit-identity only; their short-horizon numbers must not
+  // replace the committed full-run file.
+  if (!g_smoke) {
+    json::Value doc = json::Value::MakeObject();
+    doc.Set("bench", "micro_serving");
+    bench::SetHostMetadata(&doc, /*pool_size=*/0);
+    doc.Set("smoke", false);
+    doc.Set("horizon_seconds", HorizonSeconds());
+    doc.Set("load_sweep", std::move(sweep_rows));
 
-  json::Value saturation_doc = json::Value::MakeObject();
-  saturation_doc.Set("throughput_rps", saturation_goodput);
-  saturation_doc.Set("offered_rps", saturation_rate);
-  doc.Set("saturation", std::move(saturation_doc));
+    json::Value saturation_doc = json::Value::MakeObject();
+    saturation_doc.Set("throughput_rps", saturation_goodput);
+    saturation_doc.Set("offered_rps", saturation_rate);
+    doc.Set("saturation", std::move(saturation_doc));
 
-  json::Value overload_doc = ReportRow(overload_rate, overloaded);
-  overload_doc.Set("goodput_vs_saturation", retention);
-  overload_doc.Set("shed_queue_full",
-                   static_cast<int64_t>(overloaded.counters.shed_queue_full));
-  overload_doc.Set("batched",
-                   static_cast<int64_t>(overloaded.counters.batched));
-  overload_doc.Set("batches_flushed",
-                   static_cast<int64_t>(overloaded.counters.batches_flushed));
-  doc.Set("overload_2x", std::move(overload_doc));
+    json::Value overload_doc = ReportRow(overload_rate, overloaded);
+    overload_doc.Set("goodput_vs_saturation", retention);
+    overload_doc.Set(
+        "shed_queue_full",
+        static_cast<int64_t>(overloaded.counters.shed_queue_full));
+    overload_doc.Set("batched",
+                     static_cast<int64_t>(overloaded.counters.batched));
+    overload_doc.Set("batches_flushed",
+                     static_cast<int64_t>(overloaded.counters.batches_flushed));
+    doc.Set("overload_2x", std::move(overload_doc));
 
-  doc.Set("degraded", std::move(degraded_rows));
+    doc.Set("degraded", std::move(degraded_rows));
 
-  json::Value core_doc = ReportRow(g_smoke ? 20.0 : 40.0, core.report);
-  core_doc.Set("hook_reports", static_cast<int64_t>(core.hook_reports));
-  core_doc.Set("hedged_reads",
-               static_cast<int64_t>(core.report.counters.hedged_reads));
-  core_doc.Set("hedge_wins",
-               static_cast<int64_t>(core.report.counters.hedge_wins));
-  core_doc.Set("digest", core.report.Digest());
-  doc.Set("core_backend", std::move(core_doc));
+    json::Value core_doc = ReportRow(40.0, core.report);
+    core_doc.Set("hook_reports", static_cast<int64_t>(core.hook_reports));
+    core_doc.Set("hedged_reads",
+                 static_cast<int64_t>(core.report.counters.hedged_reads));
+    core_doc.Set("hedge_wins",
+                 static_cast<int64_t>(core.report.counters.hedge_wins));
+    core_doc.Set("digest", core.report.Digest());
+    doc.Set("core_backend", std::move(core_doc));
 
-  doc.Set("deterministic", deterministic);
-  doc.Set("goodput_retention_ok", goodput_holds);
+    doc.Set("deterministic", deterministic);
+    doc.Set("goodput_retention_ok", goodput_holds);
 
-  const std::string json_text = doc.DumpPretty();
-  std::FILE* out = std::fopen("BENCH_serving.json", "w");
-  if (out != nullptr) {
-    std::fwrite(json_text.data(), 1, json_text.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_serving.json\n");
+    const std::string json_text = doc.DumpPretty();
+    std::FILE* out = std::fopen("BENCH_serving.json", "w");
+    if (out != nullptr) {
+      std::fwrite(json_text.data(), 1, json_text.size(), out);
+      std::fputc('\n', out);
+      std::fclose(out);
+      std::printf("\nwrote BENCH_serving.json\n");
+    }
   }
 
   const bool ok = deterministic && goodput_holds;

@@ -110,7 +110,7 @@ struct SessionReport {
 /// The session simulates the messaging of a chunked ring all-reduce —
 /// 2*(C-1) rounds over a cohort of C workers, each round moving one slice
 /// of ceil(N/C) elements per worker to its right neighbour — with the
-/// house fault machinery: every message is a TryTransferBetweenWorkers
+/// house fault machinery: every message is a worker TryTransferBetween
 /// drawn from the dedicated collective fault stream, retried under the
 /// session's Retrier, and every send/reduce/commit passes a crash point
 /// ("collective.send", "collective.reduce", "collective.commit").
@@ -207,7 +207,7 @@ class RingSession {
   };
   PendingCrash pending_crash_;
 
-  std::vector<bool> loss_applied_;      // CrashWorker issued for this loss
+  std::vector<bool> loss_applied_;      // worker Crash issued for this loss
   std::vector<bool> partition_spent_;   // window consumed by a stall-heal
   std::vector<bool> needs_rejoin_;      // missed the previous commit
   std::vector<size_t> current_minority_;  // workers partitioned right now

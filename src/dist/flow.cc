@@ -299,7 +299,7 @@ Result<FlowResult> EvaluationFlow::Run() {
   result.node_counters.assign(static_cast<size_t>(config_.num_nodes),
                               FlowResult::NodeCounters{});
   if (backends_.network != nullptr) {
-    backends_.network->ConfigureNodes(
+    backends_.network->ConfigureParticipants(
         static_cast<size_t>(config_.num_nodes));
     // Per-flow fault accounting: repeated flows over one network must not
     // report each other's drops/timeouts (clock, rng, and plans keep going).
@@ -503,13 +503,16 @@ Result<FlowResult> EvaluationFlow::Run() {
               // A mid-all-reduce kill takes down one ring worker, not the
               // node's storage identity: charge the worker's crash/restart
               // lifecycle on the collective side of the network.
-              MMLIB_RETURN_IF_ERROR(backends_.network->CrashWorker(
-                  static_cast<size_t>(event->worker)));
-              MMLIB_RETURN_IF_ERROR(backends_.network->RestartWorker(
-                  static_cast<size_t>(event->worker)));
+              const auto worker = static_cast<size_t>(event->worker);
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Crash(simnet::Role::kWorker, worker));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Restart(simnet::Role::kWorker, worker));
             } else {
-              MMLIB_RETURN_IF_ERROR(backends_.network->CrashNode(n));
-              MMLIB_RETURN_IF_ERROR(backends_.network->RestartNode(n));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Crash(simnet::Role::kParticipant, n));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Restart(simnet::Role::kParticipant, n));
             }
           }
           ++counters.restarts;

@@ -214,7 +214,7 @@ class RemoteDocumentStore : public DocumentStore {
   /// replica node when set, the anonymous shared server otherwise.
   simnet::TransferAttempt Attempt(uint64_t bytes) {
     if (replica_ != simnet::kNoReplica) {
-      return network_->TryTransferToReplica(replica_, bytes);
+      return network_->TryTransferTo(simnet::Role::kReplica, replica_, bytes);
     }
     return network_->TryTransfer(bytes);
   }

@@ -6,6 +6,8 @@ namespace mmlib::repl {
 
 namespace {
 
+constexpr simnet::Role kReplica = simnet::Role::kReplica;
+
 /// Validates quorum sizes against the replica count and resolves majority
 /// defaults. Shared by both store factories.
 Result<std::pair<size_t, size_t>> ResolveQuorums(size_t replica_count,
@@ -77,7 +79,7 @@ std::vector<size_t> ReplicatedFileStore::ReadOrder(
 size_t ReplicatedFileStore::ReachableCount() const {
   size_t reachable = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (network_->IsReplicaReachable(r)) {
+    if (network_->IsReachable(kReplica, r)) {
       ++reachable;
     }
   }
@@ -115,7 +117,7 @@ Status ReplicatedFileStore::QuorumWrite(const std::string& id,
   }
   std::vector<size_t> acked;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }
@@ -317,7 +319,7 @@ Status ReplicatedFileStore::Delete(const std::string& id) {
   size_t acks = 0;
   size_t deleted = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }
@@ -486,7 +488,7 @@ size_t ReplicatedDocumentStore::PreferredReplica(
 size_t ReplicatedDocumentStore::ReachableCount() const {
   size_t reachable = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (network_->IsReplicaReachable(r)) {
+    if (network_->IsReachable(kReplica, r)) {
       ++reachable;
     }
   }
@@ -527,7 +529,7 @@ Status ReplicatedDocumentStore::QuorumInsert(const std::string& collection,
   }
   std::vector<size_t> acked;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }
@@ -648,7 +650,7 @@ Status ReplicatedDocumentStore::Delete(const std::string& collection,
   size_t acks = 0;
   size_t deleted = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }

@@ -9,6 +9,8 @@ namespace mmlib::repl {
 
 namespace {
 
+constexpr simnet::Role kReplica = simnet::Role::kReplica;
+
 /// Bytes of one digest on the wire.
 constexpr uint64_t kDigestBytes = 32;
 
@@ -156,7 +158,7 @@ Status Scrubber::RepairFileCopy(size_t from, size_t to,
   filestore::FileStore* source = files_->transport(from)->backend();
   MMLIB_ASSIGN_OR_RETURN(Bytes bytes, source->LoadFile(key));
   const simnet::TransferAttempt attempt =
-      network_->TryTransferBetweenReplicas(from, to, bytes.size());
+      network_->TryTransferBetween(kReplica, from, to, bytes.size());
   if (!attempt.status.ok()) {
     ++report->unresolved;  // pair went unreachable mid-session; next pass
     return Status::OK();
@@ -174,7 +176,7 @@ Status Scrubber::RepairDocCopy(size_t from, size_t to, const std::string& key,
   docstore::DocumentStore* source = docs_->transport(from)->backend();
   MMLIB_ASSIGN_OR_RETURN(json::Value doc, source->Get(collection, id));
   const simnet::TransferAttempt attempt =
-      network_->TryTransferBetweenReplicas(from, to, doc.Dump().size());
+      network_->TryTransferBetween(kReplica, from, to, doc.Dump().size());
   if (!attempt.status.ok()) {
     ++report->unresolved;
     return Status::OK();
@@ -222,8 +224,8 @@ Status Scrubber::ReconcileFile(size_t a, size_t b, const std::string& key,
          {std::make_pair(a, digest_a), std::make_pair(b, digest_b)}) {
       if (digest != nullptr) {
         const simnet::TransferAttempt attempt =
-            network_->TryTransferBetweenReplicas(side == a ? b : a, side,
-                                                 key.size());
+            network_->TryTransferBetween(kReplica, side == a ? b : a, side,
+                                         key.size());
         if (attempt.status.ok() &&
             files_->transport(side)->backend()->Delete(key).ok()) {
           ++report->repaired_files;
@@ -285,8 +287,8 @@ Status Scrubber::ReconcileDoc(size_t a, size_t b, const std::string& key,
          {std::make_pair(a, digest_a), std::make_pair(b, digest_b)}) {
       if (digest != nullptr) {
         const simnet::TransferAttempt attempt =
-            network_->TryTransferBetweenReplicas(side == a ? b : a, side,
-                                                 key.size());
+            network_->TryTransferBetween(kReplica, side == a ? b : a, side,
+                                         key.size());
         if (attempt.status.ok() &&
             docs_->transport(side)->backend()->Delete(collection, id).ok()) {
           ++report->repaired_documents;
@@ -344,8 +346,8 @@ Status Scrubber::ScrubPairFiles(size_t a, size_t b, ScrubReport* report) {
   MMLIB_ASSIGN_OR_RETURN(Inventory inv_a, FileInventory(a));
   MMLIB_ASSIGN_OR_RETURN(Inventory inv_b, FileInventory(b));
   // Root exchange: one digest each way.
-  if (!network_->TryTransferBetweenReplicas(a, b, kDigestBytes).status.ok() ||
-      !network_->TryTransferBetweenReplicas(b, a, kDigestBytes).status.ok()) {
+  if (!network_->TryTransferBetween(kReplica, a, b, kDigestBytes).status.ok() ||
+      !network_->TryTransferBetween(kReplica, b, a, kDigestBytes).status.ok()) {
     return Status::OK();  // pair lost mid-session; next pass retries
   }
   if (inv_a.tree.root() == inv_b.tree.root()) {
@@ -356,18 +358,18 @@ Status Scrubber::ScrubPairFiles(size_t a, size_t b, ScrubReport* report) {
                          MerkleTree::Diff(inv_a.tree, inv_b.tree));
   report->bucket_comparisons += diff.comparisons;
   // Descent traffic: the compared node digests travel both ways.
-  (void)network_->TryTransferBetweenReplicas(a, b,
-                                             diff.comparisons * kDigestBytes);
-  (void)network_->TryTransferBetweenReplicas(b, a,
-                                             diff.comparisons * kDigestBytes);
+  (void)network_->TryTransferBetween(kReplica, a, b,
+                                     diff.comparisons * kDigestBytes);
+  (void)network_->TryTransferBetween(kReplica, b, a,
+                                     diff.comparisons * kDigestBytes);
   const std::set<size_t> buckets(diff.changed_leaves.begin(),
                                  diff.changed_leaves.end());
   const auto slice_a = BucketSlice(inv_a.items, buckets, bucket_count_);
   const auto slice_b = BucketSlice(inv_b.items, buckets, bucket_count_);
   // Bucket listing exchange: each side ships its slice of the mismatched
   // buckets (keys + digests) to the other.
-  (void)network_->TryTransferBetweenReplicas(a, b, SliceBytes(slice_a));
-  (void)network_->TryTransferBetweenReplicas(b, a, SliceBytes(slice_b));
+  (void)network_->TryTransferBetween(kReplica, a, b, SliceBytes(slice_a));
+  (void)network_->TryTransferBetween(kReplica, b, a, SliceBytes(slice_b));
   std::set<std::string> keys;
   for (const auto& [key, digest] : slice_a) {
     keys.insert(key);
@@ -393,8 +395,8 @@ Status Scrubber::ScrubPairFiles(size_t a, size_t b, ScrubReport* report) {
 Status Scrubber::ScrubPairDocs(size_t a, size_t b, ScrubReport* report) {
   MMLIB_ASSIGN_OR_RETURN(Inventory inv_a, DocInventory(a));
   MMLIB_ASSIGN_OR_RETURN(Inventory inv_b, DocInventory(b));
-  if (!network_->TryTransferBetweenReplicas(a, b, kDigestBytes).status.ok() ||
-      !network_->TryTransferBetweenReplicas(b, a, kDigestBytes).status.ok()) {
+  if (!network_->TryTransferBetween(kReplica, a, b, kDigestBytes).status.ok() ||
+      !network_->TryTransferBetween(kReplica, b, a, kDigestBytes).status.ok()) {
     return Status::OK();
   }
   if (inv_a.tree.root() == inv_b.tree.root()) {
@@ -404,16 +406,16 @@ Status Scrubber::ScrubPairDocs(size_t a, size_t b, ScrubReport* report) {
   MMLIB_ASSIGN_OR_RETURN(MerkleDiff diff,
                          MerkleTree::Diff(inv_a.tree, inv_b.tree));
   report->bucket_comparisons += diff.comparisons;
-  (void)network_->TryTransferBetweenReplicas(a, b,
-                                             diff.comparisons * kDigestBytes);
-  (void)network_->TryTransferBetweenReplicas(b, a,
-                                             diff.comparisons * kDigestBytes);
+  (void)network_->TryTransferBetween(kReplica, a, b,
+                                     diff.comparisons * kDigestBytes);
+  (void)network_->TryTransferBetween(kReplica, b, a,
+                                     diff.comparisons * kDigestBytes);
   const std::set<size_t> buckets(diff.changed_leaves.begin(),
                                  diff.changed_leaves.end());
   const auto slice_a = BucketSlice(inv_a.items, buckets, bucket_count_);
   const auto slice_b = BucketSlice(inv_b.items, buckets, bucket_count_);
-  (void)network_->TryTransferBetweenReplicas(a, b, SliceBytes(slice_a));
-  (void)network_->TryTransferBetweenReplicas(b, a, SliceBytes(slice_b));
+  (void)network_->TryTransferBetween(kReplica, a, b, SliceBytes(slice_a));
+  (void)network_->TryTransferBetween(kReplica, b, a, SliceBytes(slice_b));
   std::set<std::string> keys;
   for (const auto& [key, digest] : slice_a) {
     keys.insert(key);
@@ -479,7 +481,7 @@ Result<ScrubReport> Scrubber::ScrubOnce() {
   }
   for (size_t a = 0; a < replica_count; ++a) {
     for (size_t b = a + 1; b < replica_count; ++b) {
-      if (!network_->ReplicaPairReachable(a, b)) {
+      if (!network_->PairReachable(kReplica, a, b)) {
         continue;
       }
       ++report.sessions;

@@ -20,7 +20,7 @@ BackendOutcome SimulatedBackend::Execute(const Request& request,
   BackendOutcome outcome;
   if (network_ != nullptr) {
     network_->ApplyDueReplicaEvents();
-    if (!network_->IsReplicaReachable(replica_)) {
+    if (!network_->IsReachable(simnet::Role::kReplica, replica_)) {
       outcome.code = StatusCode::kUnavailable;
       outcome.service_seconds = options_.unavailable_seconds;
       return outcome;

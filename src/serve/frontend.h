@@ -49,7 +49,7 @@ struct FrontendOptions {
 ///
 /// The front end advances the simnet virtual clock alongside its own event
 /// clock, so replica events scheduled on the network
-/// (ScheduleReplicaCrash/SchedulePartition) fire mid-run exactly as they
+/// (ScheduleReplicaCrash/ScheduleReplicaPartition) fire mid-run exactly as they
 /// do for the storage flows.
 class ServingFrontend {
  public:

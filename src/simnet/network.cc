@@ -3,10 +3,18 @@
 #include <algorithm>
 
 namespace mmlib::simnet {
+namespace {
+
+std::string NodeName(Role role, size_t node) {
+  static constexpr const char* kNames[] = {"participant", "replica", "worker"};
+  return std::string(kNames[static_cast<size_t>(role)]) + " " +
+         std::to_string(node);
+}
+
+}  // namespace
 
 void Network::set_fault_plan(const FaultPlan& plan) {
-  fault_plan_ = plan;
-  fault_rng_ = Rng(plan.seed);
+  storage_ = Stream(plan);
   ResetFaultCounters();
 }
 
@@ -18,29 +26,29 @@ double Network::Transfer(uint64_t bytes) {
   return seconds;
 }
 
-void Network::CountFault(FaultCounters* replica_faults,
+void Network::CountFault(FaultCounters* node_faults,
                          uint64_t FaultCounters::* kind) {
   ++(faults_.*kind);
   if (current_op_ != nullptr) {
     ++(per_op_faults_[current_op_].*kind);
   }
-  if (replica_faults != nullptr) {
-    ++(replica_faults->*kind);
+  if (node_faults != nullptr) {
+    ++(node_faults->*kind);
   }
 }
 
-TransferAttempt Network::AttemptWithPlan(const FaultPlan& plan, Rng* rng,
-                                         uint64_t bytes,
-                                         FaultCounters* node_faults) {
+TransferAttempt Network::Attempt(Stream* stream, uint64_t bytes,
+                                 FaultCounters* node_faults) {
   TransferAttempt attempt;
-  if (!plan.active()) {
+  if (stream == nullptr || !stream->plan.active()) {
     attempt.seconds = Transfer(bytes);
     return attempt;
   }
+  const FaultPlan& plan = stream->plan;
   ++message_count_;
   // One uniform draw per message keeps the fault stream's consumption a pure
   // function of the message sequence, whatever the outcome.
-  const double u = rng->NextDouble();
+  const double u = stream->rng.NextDouble();
   if (u < plan.drop_probability) {
     CountFault(node_faults, &FaultCounters::drops);
     attempt.seconds = link_.latency_seconds;
@@ -67,15 +75,16 @@ TransferAttempt Network::AttemptWithPlan(const FaultPlan& plan, Rng* rng,
 }
 
 TransferAttempt Network::TryTransfer(uint64_t bytes) {
-  return AttemptWithPlan(fault_plan_, &fault_rng_, bytes, nullptr);
+  return Attempt(&storage_, bytes, nullptr);
 }
 
 void Network::CorruptPayload(Bytes* payload) {
   if (payload == nullptr || payload->empty()) {
     return;
   }
-  const size_t position = fault_rng_.NextBelow(payload->size());
-  (*payload)[position] ^= static_cast<uint8_t>(1 + fault_rng_.NextBelow(255));
+  Rng& rng = storage_.rng;
+  const size_t position = rng.NextBelow(payload->size());
+  (*payload)[position] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
 }
 
 void Network::ChargeSeconds(double seconds) {
@@ -85,199 +94,195 @@ void Network::ChargeSeconds(double seconds) {
 void Network::ResetFaultCounters() {
   faults_ = FaultCounters{};
   per_op_faults_.clear();
-  for (ReplicaState& replica : replicas_) {
-    replica.faults = FaultCounters{};
-    replica.rejects = 0;
-    replica.crashes = 0;
-    replica.restarts = 0;
-  }
-  for (WorkerState& worker : workers_) {
-    worker.faults = FaultCounters{};
-    worker.rejects = 0;
-    worker.crashes = 0;
-    worker.restarts = 0;
+  for (std::vector<Node>& nodes : nodes_) {
+    for (Node& node : nodes) {
+      node.tally = NodeTally{};
+    }
   }
 }
 
-void Network::ConfigureNodes(size_t count) {
-  node_up_.assign(count, true);
+// --- Node table -------------------------------------------------------------
+
+void Network::Configure(Role role, size_t count) {
+  Nodes(role).assign(count, Node{});
 }
 
-Status Network::CrashNode(size_t node) {
-  if (node >= node_up_.size()) {
-    return Status::InvalidArgument("node " + std::to_string(node) +
-                                   " is not configured");
-  }
-  if (!node_up_[node]) {
-    return Status::FailedPrecondition("node " + std::to_string(node) +
-                                      " is already down");
-  }
-  node_up_[node] = false;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
-  return Status::OK();
-}
-
-Status Network::RestartNode(size_t node) {
-  if (node >= node_up_.size()) {
-    return Status::InvalidArgument("node " + std::to_string(node) +
-                                   " is not configured");
-  }
-  if (node_up_[node]) {
-    return Status::FailedPrecondition("node " + std::to_string(node) +
-                                      " is already up");
-  }
-  node_up_[node] = true;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
-}
-
-TransferAttempt Network::TryTransferToNode(size_t node, uint64_t bytes) {
-  if (!IsNodeUp(node)) {
-    // The sender learns nothing until its message goes unanswered; charge
-    // one latency like a dropped message. No fault-rng draw: the fault
-    // stream stays a pure function of the *delivered* message sequence, so
-    // a crash window does not shift later fault decisions.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++down_node_reject_count_;
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable("node " + std::to_string(node) +
-                                         " is down");
-    return attempt;
-  }
-  return TryTransfer(bytes);
+void Network::ConfigureParticipants(size_t count) {
+  Configure(Role::kParticipant, count);
 }
 
 void Network::ConfigureReplicas(size_t count) {
-  replicas_.clear();
-  replicas_.resize(count);
+  Configure(Role::kReplica, count);
   replica_events_.clear();
 }
 
-Status Network::SetReplicaFaultPlan(size_t replica, const FaultPlan& plan) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
+void Network::ConfigureWorkers(size_t count) {
+  Configure(Role::kWorker, count);
+}
+
+Status Network::CheckConfigured(Role role, size_t node) const {
+  if (node >= NodeCount(role)) {
+    return Status::InvalidArgument(NodeName(role, node) +
                                    " is not configured");
   }
-  ReplicaState& state = replicas_[replica];
-  state.has_plan = plan.active();
-  state.plan = plan;
-  state.rng = Rng(plan.seed);
   return Status::OK();
 }
 
-Status Network::CrashReplica(size_t replica) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
+Status Network::SetNodeUp(Role role, size_t node, bool up) {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(role, node));
+  Node& state = Nodes(role)[node];
+  if (state.up == up) {
+    return Status::FailedPrecondition(
+        NodeName(role, node) + (up ? " is already up" : " is already down"));
   }
-  if (!replicas_[replica].up) {
-    return Status::FailedPrecondition("replica " + std::to_string(replica) +
-                                      " is already down");
-  }
-  replicas_[replica].up = false;
-  ++replicas_[replica].crashes;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
+  state.up = up;
+  ++(up ? state.tally.restarts : state.tally.crashes);
+  clock_.AdvanceSeconds(up ? node_costs_.restart_seconds
+                           : node_costs_.crash_detect_seconds);
   return Status::OK();
 }
 
-Status Network::RestartReplica(size_t replica) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  if (replicas_[replica].up) {
-    return Status::FailedPrecondition("replica " + std::to_string(replica) +
-                                      " is already up");
-  }
-  replicas_[replica].up = true;
-  ++replicas_[replica].restarts;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
+Status Network::Crash(Role role, size_t node) {
+  return SetNodeUp(role, node, /*up=*/false);
 }
 
-Status Network::Partition(const std::vector<std::vector<size_t>>& groups) {
-  std::vector<int> assignment(replicas_.size(), 0);
-  std::vector<bool> seen(replicas_.size(), false);
+Status Network::Restart(Role role, size_t node) {
+  return SetNodeUp(role, node, /*up=*/true);
+}
+
+Status Network::Partition(Role role,
+                          const std::vector<std::vector<size_t>>& groups) {
+  std::vector<Node>& nodes = Nodes(role);
+  std::vector<int> assignment(nodes.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t replica : groups[g]) {
-      if (replica >= replicas_.size()) {
-        return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                       " is not configured");
-      }
-      if (seen[replica]) {
-        return Status::InvalidArgument("replica " + std::to_string(replica) +
+    for (size_t node : groups[g]) {
+      MMLIB_RETURN_IF_ERROR(CheckConfigured(role, node));
+      if (assignment[node] != 0) {
+        return Status::InvalidArgument(NodeName(role, node) +
                                        " listed in more than one group");
       }
-      seen[replica] = true;
-      assignment[replica] = static_cast<int>(g) + 1;
+      assignment[node] = static_cast<int>(g) + 1;
     }
   }
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    replicas_[r].group = assignment[r];
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    nodes[n].group = assignment[n];
   }
-  ++partition_count_;
   return Status::OK();
 }
 
-void Network::Heal() {
-  for (ReplicaState& replica : replicas_) {
-    replica.group = 0;
+void Network::Heal(Role role) {
+  for (Node& node : Nodes(role)) {
+    node.group = 0;
   }
-  ++heal_count_;
+}
+
+TransferAttempt Network::Reject(Role role, size_t node,
+                                const std::string& why) {
+  // The sender learns nothing until its message goes unanswered; charge
+  // one latency like a dropped message. No fault draw: the fault streams
+  // stay a pure function of the *delivered* message sequence.
+  TransferAttempt attempt;
+  ++message_count_;
+  if (node < NodeCount(role)) {
+    ++Nodes(role)[node].tally.rejects;
+  }
+  attempt.seconds = link_.latency_seconds;
+  clock_.AdvanceSeconds(attempt.seconds);
+  attempt.status = Status::Unavailable(why);
+  return attempt;
+}
+
+TransferAttempt Network::Deliver(Role role, size_t node, bool peer,
+                                 uint64_t bytes) {
+  Node& state = Nodes(role)[node];
+  Stream* stream = &storage_;
+  if (role == Role::kWorker) {
+    stream = &collective_;
+  } else if (role == Role::kReplica && peer) {
+    // Replica-to-replica traffic is modeled with link-level retransmission
+    // and no fault plan: it draws nothing and is never corrupted.
+    stream = nullptr;
+  } else if (state.own_stream) {
+    stream = &*state.own_stream;
+  }
+  TransferAttempt attempt = Attempt(stream, bytes, &state.tally.faults);
+  if (attempt.corrupted && role == Role::kWorker) {
+    // Link-level retransmission: the damaged frame is detected and resent,
+    // so the payload a worker reduces is always intact — arithmetic is
+    // never perturbed by the fault plan. The resend costs one more full
+    // transfer (no fault draw: retransmissions ride the reliable path).
+    attempt.corrupted = false;
+    attempt.seconds += Transfer(bytes);
+  }
+  return attempt;
+}
+
+TransferAttempt Network::TryTransferTo(Role role, size_t node,
+                                       uint64_t bytes) {
+  if (role == Role::kReplica) {
+    ApplyDueReplicaEvents();
+  }
+  if (!IsReachable(role, node)) {
+    return Reject(role, node, NodeName(role, node) + " is unreachable");
+  }
+  return Deliver(role, node, /*peer=*/false, bytes);
+}
+
+TransferAttempt Network::TryTransferBetween(Role role, size_t from, size_t to,
+                                            uint64_t bytes) {
+  if (role == Role::kReplica) {
+    ApplyDueReplicaEvents();
+  }
+  if (!PairReachable(role, from, to)) {
+    return Reject(role, to,
+                  NodeName(role, from) + " cannot reach " +
+                      NodeName(role, to));
+  }
+  return Deliver(role, to, /*peer=*/true, bytes);
+}
+
+Result<NodeTally> Network::Tally(Role role, size_t node) const {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(role, node));
+  return Nodes(role)[node].tally;
+}
+
+// --- Replica fault plans and schedule ---------------------------------------
+
+Status Network::SetReplicaFaultPlan(size_t replica, const FaultPlan& plan) {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(Role::kReplica, replica));
+  std::optional<Stream>& own = Nodes(Role::kReplica)[replica].own_stream;
+  if (plan.active()) {
+    own.emplace(plan);
+  } else {
+    own.reset();
+  }
+  return Status::OK();
+}
+
+void Network::Schedule(ReplicaEvent event) {
+  const auto position = std::upper_bound(
+      replica_events_.begin(), replica_events_.end(), event.at_seconds,
+      [](double at, const ReplicaEvent& queued) {
+        return at < queued.at_seconds;
+      });
+  replica_events_.insert(position, std::move(event));
 }
 
 void Network::ScheduleReplicaCrash(size_t replica, double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kCrash;
-  event.replica = replica;
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+  Schedule({at_seconds, ReplicaEvent::Kind::kCrash, replica, {}});
 }
 
 void Network::ScheduleReplicaRestart(size_t replica, double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kRestart;
-  event.replica = replica;
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+  Schedule({at_seconds, ReplicaEvent::Kind::kRestart, replica, {}});
 }
 
-void Network::SchedulePartition(double at_seconds,
-                                std::vector<std::vector<size_t>> groups) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kPartition;
-  event.groups = std::move(groups);
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+void Network::ScheduleReplicaPartition(
+    double at_seconds, std::vector<std::vector<size_t>> groups) {
+  Schedule({at_seconds, ReplicaEvent::Kind::kPartition, 0, std::move(groups)});
 }
 
-void Network::ScheduleHeal(double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kHeal;
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+void Network::ScheduleReplicaHeal(double at_seconds) {
+  Schedule({at_seconds, ReplicaEvent::Kind::kHeal, 0, {}});
 }
 
 void Network::ApplyDueReplicaEvents() {
@@ -291,269 +296,43 @@ void Network::ApplyDueReplicaEvents() {
       case ReplicaEvent::Kind::kCrash:
         // Crashing an already-down replica is a no-op, not an error: a
         // schedule derived from a random seed may race its own restarts.
-        (void)CrashReplica(event.replica);
+        (void)Crash(Role::kReplica, event.replica);
         break;
       case ReplicaEvent::Kind::kRestart:
-        (void)RestartReplica(event.replica);
+        (void)Restart(Role::kReplica, event.replica);
         break;
       case ReplicaEvent::Kind::kPartition:
-        (void)Partition(event.groups);
+        (void)Partition(Role::kReplica, event.groups);
         break;
       case ReplicaEvent::Kind::kHeal:
-        Heal();
+        Heal(Role::kReplica);
         break;
     }
   }
-}
-
-TransferAttempt Network::TryTransferToReplica(size_t replica, uint64_t bytes) {
-  ApplyDueReplicaEvents();
-  if (!IsReplicaReachable(replica)) {
-    // Same accounting as a down participant node: one latency charge, no
-    // fault draw, so crash/partition windows never shift later fault
-    // decisions on the surviving replicas.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++replica_reject_count_;
-    if (replica < replicas_.size()) {
-      ++replicas_[replica].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "replica " + std::to_string(replica) + " is unreachable");
-    return attempt;
-  }
-  ReplicaState& state = replicas_[replica];
-  if (state.has_plan) {
-    return AttemptWithPlan(state.plan, &state.rng, bytes, &state.faults);
-  }
-  return AttemptWithPlan(fault_plan_, &fault_rng_, bytes, &state.faults);
-}
-
-TransferAttempt Network::TryTransferBetweenReplicas(size_t from, size_t to,
-                                                    uint64_t bytes) {
-  ApplyDueReplicaEvents();
-  if (!ReplicaPairReachable(from, to)) {
-    TransferAttempt attempt;
-    ++message_count_;
-    ++replica_reject_count_;
-    if (to < replicas_.size()) {
-      ++replicas_[to].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "replicas " + std::to_string(from) + " and " + std::to_string(to) +
-        " cannot reach each other");
-    return attempt;
-  }
-  TransferAttempt attempt;
-  attempt.seconds = Transfer(bytes);
-  return attempt;
-}
-
-void Network::ConfigureWorkers(size_t count) {
-  workers_.clear();
-  workers_.resize(count);
 }
 
 void Network::set_collective_fault_plan(const FaultPlan& plan) {
-  collective_fault_plan_ = plan;
-  collective_fault_rng_ = Rng(plan.seed);
-}
-
-Status Network::CrashWorker(size_t worker) {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  if (!workers_[worker].up) {
-    return Status::FailedPrecondition("worker " + std::to_string(worker) +
-                                      " is already down");
-  }
-  workers_[worker].up = false;
-  ++workers_[worker].crashes;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
-  return Status::OK();
-}
-
-Status Network::RestartWorker(size_t worker) {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  if (workers_[worker].up) {
-    return Status::FailedPrecondition("worker " + std::to_string(worker) +
-                                      " is already up");
-  }
-  workers_[worker].up = true;
-  ++workers_[worker].restarts;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
-}
-
-Status Network::PartitionWorkers(
-    const std::vector<std::vector<size_t>>& groups) {
-  std::vector<int> assignment(workers_.size(), 0);
-  std::vector<bool> seen(workers_.size(), false);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t worker : groups[g]) {
-      if (worker >= workers_.size()) {
-        return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                       " is not configured");
-      }
-      if (seen[worker]) {
-        return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                       " listed in more than one group");
-      }
-      seen[worker] = true;
-      assignment[worker] = static_cast<int>(g) + 1;
-    }
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w].group = assignment[w];
-  }
-  ++partition_count_;
-  return Status::OK();
-}
-
-void Network::HealWorkers() {
-  for (WorkerState& worker : workers_) {
-    worker.group = 0;
-  }
-  ++heal_count_;
-}
-
-TransferAttempt Network::TryTransferBetweenWorkers(size_t from, size_t to,
-                                                   uint64_t bytes) {
-  if (!WorkerPairReachable(from, to)) {
-    // Same accounting as a down participant node: one latency charge, no
-    // fault draw, so crash/partition windows never shift later collective
-    // fault decisions on the surviving workers.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++worker_reject_count_;
-    if (to < workers_.size()) {
-      ++workers_[to].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "workers " + std::to_string(from) + " and " + std::to_string(to) +
-        " cannot reach each other");
-    return attempt;
-  }
-  TransferAttempt attempt =
-      AttemptWithPlan(collective_fault_plan_, &collective_fault_rng_, bytes,
-                      &workers_[to].faults);
-  if (attempt.corrupted) {
-    // Link-level retransmission: the damaged frame is detected and resent,
-    // so the payload the receiver reduces is always intact — arithmetic is
-    // never perturbed by the fault plan. The resend costs one more full
-    // transfer (no fault draw: retransmissions ride the reliable path).
-    attempt.corrupted = false;
-    attempt.seconds += Transfer(bytes);
-    ++worker_retransmit_count_;
-  }
-  return attempt;
-}
-
-Result<FaultCounters> Network::WorkerFaultCounters(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].faults;
-}
-
-Result<uint64_t> Network::WorkerRejectCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].rejects;
-}
-
-Result<uint64_t> Network::WorkerCrashCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].crashes;
-}
-
-Result<uint64_t> Network::WorkerRestartCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].restarts;
-}
-
-Result<FaultCounters> Network::ReplicaFaultCounters(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].faults;
-}
-
-Result<uint64_t> Network::ReplicaRejectCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].rejects;
-}
-
-Result<uint64_t> Network::ReplicaCrashCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].crashes;
-}
-
-Result<uint64_t> Network::ReplicaRestartCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].restarts;
+  collective_ = Stream(plan);
 }
 
 void Network::Reset() {
   clock_ = VirtualClock();
-  fault_rng_ = Rng(fault_plan_.seed);
-  node_up_.assign(node_up_.size(), true);
-  const size_t replica_count = replicas_.size();
-  std::vector<ReplicaState> fresh(replica_count);
-  for (size_t r = 0; r < replica_count; ++r) {
-    if (replicas_[r].has_plan) {
-      fresh[r].has_plan = true;
-      fresh[r].plan = replicas_[r].plan;
-      fresh[r].rng = Rng(replicas_[r].plan.seed);
+  storage_ = Stream(storage_.plan);
+  collective_ = Stream(collective_.plan);
+  for (std::vector<Node>& nodes : nodes_) {
+    for (Node& node : nodes) {
+      Node fresh;
+      if (node.own_stream) {
+        fresh.own_stream.emplace(node.own_stream->plan);
+      }
+      node = std::move(fresh);
     }
   }
-  replicas_ = std::move(fresh);
   replica_events_.clear();
-  collective_fault_rng_ = Rng(collective_fault_plan_.seed);
-  workers_.assign(workers_.size(), WorkerState{});
   total_bytes_ = 0;
   message_count_ = 0;
   faults_ = FaultCounters{};
   per_op_faults_.clear();
-  crash_count_ = 0;
-  restart_count_ = 0;
-  down_node_reject_count_ = 0;
-  replica_reject_count_ = 0;
-  worker_reject_count_ = 0;
-  worker_retransmit_count_ = 0;
-  partition_count_ = 0;
-  heal_count_ = 0;
 }
 
 }  // namespace mmlib::simnet

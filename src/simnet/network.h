@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <array>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,7 +62,7 @@ struct FaultPlan {
 };
 
 /// Per-kind fault tally. Kept both globally, per operation type (see
-/// Network::OpScope), and per storage replica, so a multi-flow experiment
+/// Network::OpScope), and per node (NodeTally), so a multi-flow experiment
 /// can attribute faults to one flow and one operation instead of reading a
 /// counter that is cumulative across the whole process.
 struct FaultCounters {
@@ -95,6 +97,24 @@ struct TransferAttempt {
   double seconds = 0.0;
 };
 
+/// The part a simulated node plays. Each role numbers its nodes from 0, so a
+/// node is named by (role, index).
+enum class Role : uint8_t {
+  kParticipant,  // training node of a DIST flow (dist::EvaluationFlow)
+  kReplica,      // storage replica of mmlib::repl
+  kWorker,       // ring-all-reduce worker of mmlib::collective
+};
+
+/// Per-node tallies since the last ResetFaultCounters/Reset.
+struct NodeTally {
+  /// Fault draws on messages addressed to the node.
+  FaultCounters faults;
+  /// Messages rejected because the node was down or partitioned away.
+  uint64_t rejects = 0;
+  uint64_t crashes = 0;
+  uint64_t restarts = 0;
+};
+
 /// Replica node id meaning "not bound to a simulated replica" (clients that
 /// model a store without per-replica lifecycle).
 inline constexpr size_t kNoReplica = static_cast<size_t>(-1);
@@ -103,15 +123,25 @@ inline constexpr size_t kNoReplica = static_cast<size_t>(-1);
 /// Every transfer advances a virtual clock and is accounted, so experiments
 /// are deterministic and instantaneous regardless of modeled data volume.
 ///
-/// Two independent node spaces exist: *participant nodes* (the training
-/// nodes of a DIST flow, ConfigureNodes) and *replica nodes* (the storage
-/// replicas of mmlib::repl, ConfigureReplicas). Replica nodes additionally
-/// support partition groups, per-replica fault plans with independent
-/// fault-decision streams, and crash/partition schedules driven by the
-/// virtual clock.
+/// One node table holds every simulated node. A node is up or down, sits in
+/// a partition group (group 0 is the flow coordinator's side), and keeps a
+/// NodeTally. The membership operations (Crash, Restart, Partition, Heal,
+/// IsReachable, Tally) work the same for every role; the roles differ only
+/// in which fault stream their traffic draws from:
+///   - participant traffic draws from the global (storage) stream;
+///   - a replica draws from its own plan (SetReplicaFaultPlan), or from the
+///     global stream when it has none; replica-to-replica traffic draws
+///     nothing (the anti-entropy channel retransmits at the link level);
+///   - worker traffic draws from the collective stream, and a corruption
+///     draw becomes one retransmission, so collective faults never shift
+///     the storage fault sequence, and vice versa.
+/// A message to an unreachable node is rejected without a draw.
+///
+/// Replicas alone carry per-node fault plans and a schedule of crashes,
+/// restarts and partitions driven by the virtual clock.
 class Network {
  public:
-  explicit Network(Link link) : link_(link), fault_rng_(FaultPlan{}.seed) {}
+  explicit Network(Link link) : link_(link) {}
   Network() : Network(Link::InfiniBand100G()) {}
 
   const Link& link() const { return link_; }
@@ -119,7 +149,7 @@ class Network {
   /// Installs a failure model and reseeds the fault stream; replaces any
   /// previous plan. Pass a default-constructed FaultPlan to disable faults.
   void set_fault_plan(const FaultPlan& plan);
-  const FaultPlan& fault_plan() const { return fault_plan_; }
+  const FaultPlan& fault_plan() const { return storage_.plan; }
 
   /// Charges one message of `bytes` to the virtual clock; returns the
   /// transfer time in seconds. Never fails — the fault-free cost-model path
@@ -212,212 +242,109 @@ class Network {
            clock_.NowSeconds() >= request_deadline_seconds_;
   }
 
-  /// Zeroes every fault counter — global, per-operation, and per-replica —
-  /// without touching the virtual clock, the fault plans, or the
+  /// Zeroes every fault counter — global, per-operation, and per-node
+  /// tallies — without touching the virtual clock, the fault plans, or the
   /// fault-decision streams. Flows call this on entry so their reported
   /// fault accounting is per-flow, not cumulative across an experiment run.
   void ResetFaultCounters();
 
-  /// --- Node lifecycle (crash-tolerant distributed flows). ---
-  /// Declares `count` participant nodes, all up. Replaces previous state.
-  void ConfigureNodes(size_t count);
-  size_t NodeCount() const { return node_up_.size(); }
+  /// --- Node table. ---
+  /// Each Configure call declares `count` nodes of its role, all up, all in
+  /// group 0, with zero tallies, replacing that role's previous nodes.
+  /// ConfigureReplicas also drops the replica fault plans and schedule.
+  void ConfigureParticipants(size_t count);
+  void ConfigureReplicas(size_t count);
+  void ConfigureWorkers(size_t count);
+  size_t NodeCount(Role role) const { return Nodes(role).size(); }
 
-  /// True when `node` is configured and currently up.
-  bool IsNodeUp(size_t node) const {
-    return node < node_up_.size() && node_up_[node];
+  /// True when the node is configured and currently up.
+  bool IsUp(Role role, size_t node) const {
+    return node < NodeCount(role) && Nodes(role)[node].up;
+  }
+
+  /// True when the node is up and in the coordinator's partition group
+  /// (group 0) — i.e. a client request can reach it right now.
+  bool IsReachable(Role role, size_t node) const {
+    return IsUp(role, node) && Nodes(role)[node].group == 0;
+  }
+
+  /// True when two distinct nodes of one role can talk to each other: both
+  /// up and in the same partition group (anti-entropy sessions and ring
+  /// neighbours need this).
+  bool PairReachable(Role role, size_t a, size_t b) const {
+    return a != b && IsUp(role, a) && IsUp(role, b) &&
+           Nodes(role)[a].group == Nodes(role)[b].group;
   }
 
   /// Kills a node: charges the failure-detection time and marks the node
   /// down, so messages to it fail Unavailable (feeding the Retrier).
   /// InvalidArgument for an unconfigured node, FailedPrecondition when
   /// already down.
-  Status CrashNode(size_t node);
+  Status Crash(Role role, size_t node);
 
   /// Brings a crashed node back: charges the restart time and marks the
-  /// node up. InvalidArgument / FailedPrecondition mirror CrashNode.
-  Status RestartNode(size_t node);
+  /// node up. InvalidArgument / FailedPrecondition mirror Crash.
+  Status Restart(Role role, size_t node);
 
   void set_node_costs(const NodeCosts& costs) { node_costs_ = costs; }
   const NodeCosts& node_costs() const { return node_costs_; }
 
-  /// Attempts one message of `bytes` addressed to `node`. While the node is
-  /// down the message fails Unavailable after one latency charge — the
-  /// sender's Retrier backs off and retries until the node restarts (or its
-  /// attempts run out). An up node behaves exactly like TryTransfer.
-  TransferAttempt TryTransferToNode(size_t node, uint64_t bytes);
+  /// Splits one role's nodes into partition groups: `groups[i]` lists the
+  /// nodes cut off into group i+1; nodes not listed stay in group 0, the
+  /// side the flow coordinator is on. Messages across group boundaries fail
+  /// Unavailable after one latency charge. InvalidArgument, with no group
+  /// changed, when a node is unconfigured or listed twice. Other roles are
+  /// untouched.
+  Status Partition(Role role, const std::vector<std::vector<size_t>>& groups);
 
-  /// --- Replica nodes (replicated storage, mmlib::repl). ---
-  /// Declares `count` storage replicas, all up, all reachable (group 0),
-  /// with no per-replica fault plans. Replaces previous replica state and
-  /// drops any scheduled replica events.
-  void ConfigureReplicas(size_t count);
-  size_t ReplicaCount() const { return replicas_.size(); }
+  /// Heals one role's partitions: every node of `role` rejoins group 0.
+  void Heal(Role role);
 
+  /// Attempts one coordinator-to-node message of `bytes`. An unreachable
+  /// node (down or partitioned away) fails Unavailable after one latency
+  /// charge without a fault draw; the sender's Retrier backs off and
+  /// retries. A reachable node draws from its role's stream (class comment).
+  /// A replica message first applies the due replica events.
+  TransferAttempt TryTransferTo(Role role, size_t node, uint64_t bytes);
+
+  /// Attempts one node-to-node message of `bytes` within a role (replica
+  /// anti-entropy, worker gradient exchange). Fails like TryTransferTo when
+  /// the pair cannot reach each other; the reject is tallied on `to`.
+  TransferAttempt TryTransferBetween(Role role, size_t from, size_t to,
+                                     uint64_t bytes);
+
+  /// The node's tallies; InvalidArgument for an unconfigured node.
+  Result<NodeTally> Tally(Role role, size_t node) const;
+
+  /// --- Replica fault plans and schedule (virtual clock). ---
   /// Installs an independent failure model for one replica's link. The
   /// replica draws fault decisions from its own stream seeded by
   /// `plan.seed`, so faults on one replica never shift another replica's
   /// fault sequence. Pass an inactive plan to fall back to the global plan.
+  /// Reset keeps the plan and reseeds its stream.
   Status SetReplicaFaultPlan(size_t replica, const FaultPlan& plan);
 
-  bool IsReplicaUp(size_t replica) const {
-    return replica < replicas_.size() && replicas_[replica].up;
-  }
-
-  /// True when the replica is up and in the coordinator's partition group
-  /// (group 0) — i.e. a client request can reach it right now.
-  bool IsReplicaReachable(size_t replica) const {
-    return replica < replicas_.size() && replicas_[replica].up &&
-           replicas_[replica].group == 0;
-  }
-
-  /// True when two distinct replicas can talk to each other: both up and in
-  /// the same partition group (anti-entropy sessions need this).
-  bool ReplicaPairReachable(size_t a, size_t b) const {
-    return a < replicas_.size() && b < replicas_.size() && a != b &&
-           replicas_[a].up && replicas_[b].up &&
-           replicas_[a].group == replicas_[b].group;
-  }
-
-  /// Kills / restarts a replica; charges the node costs like
-  /// CrashNode/RestartNode. Errors mirror the participant-node variants.
-  Status CrashReplica(size_t replica);
-  Status RestartReplica(size_t replica);
-
-  /// Splits the replicas into partition groups: `groups[i]` lists the
-  /// replicas cut off into group i+1; replicas not listed stay in group 0,
-  /// the side the flow coordinator is on. Messages across group boundaries
-  /// fail Unavailable after one latency charge. InvalidArgument when a
-  /// replica id is unconfigured or listed twice.
-  Status Partition(const std::vector<std::vector<size_t>>& groups);
-
-  /// Heals all partitions: every replica rejoins group 0.
-  void Heal();
-
-  /// --- Replica event schedule (virtual clock). ---
-  /// Queues a crash/restart/partition/heal to fire once the virtual clock
-  /// reaches `at_seconds`. Due events are applied, in schedule order, at
-  /// the start of the next replica-addressed transfer, so a flow's storage
-  /// traffic drives its own degradation deterministically. A scheduled
-  /// crash of an already-down replica (or restart of an up one) is a no-op.
+  /// Queues a replica crash/restart/partition/heal to fire once the virtual
+  /// clock reaches `at_seconds`. Due events are applied, in time order and
+  /// at equal times in scheduling order, at the start of the next
+  /// replica-addressed transfer, so a flow's storage traffic drives its own
+  /// degradation deterministically. A scheduled crash of an already-down
+  /// replica (or restart of an up one) is a no-op.
   void ScheduleReplicaCrash(size_t replica, double at_seconds);
   void ScheduleReplicaRestart(size_t replica, double at_seconds);
-  void SchedulePartition(double at_seconds,
-                         std::vector<std::vector<size_t>> groups);
-  void ScheduleHeal(double at_seconds);
+  void ScheduleReplicaPartition(double at_seconds,
+                                std::vector<std::vector<size_t>> groups);
+  void ScheduleReplicaHeal(double at_seconds);
 
   /// Applies every scheduled replica event due at the current virtual time;
-  /// called automatically by the replica transfer paths.
+  /// called automatically by replica transfers.
   void ApplyDueReplicaEvents();
 
-  /// Attempts one message of `bytes` addressed to `replica`. Unreachable
-  /// replicas (down or partitioned away from the coordinator) fail
-  /// Unavailable after one latency charge without consuming a fault draw.
-  /// Reachable replicas draw from their own fault plan when one is set,
-  /// otherwise from the global plan.
-  TransferAttempt TryTransferToReplica(size_t replica, uint64_t bytes);
-
-  /// Attempts one replica-to-replica message of `bytes` (anti-entropy
-  /// traffic). Fails Unavailable when the pair cannot reach each other.
-  /// The replication channel is modeled with link-level retransmission, so
-  /// a delivered message is never corrupted; the cost is still charged.
-  TransferAttempt TryTransferBetweenReplicas(size_t from, size_t to,
-                                             uint64_t bytes);
-
-  /// --- Worker nodes (data-parallel training, mmlib::collective). ---
-  /// A third node space, independent of participant and replica nodes: the
-  /// ring-all-reduce workers of a data-parallel flow. Workers share the
-  /// membership primitives of replicas (crash/restart, partition groups)
-  /// but their gradient-exchange traffic draws fault decisions from a
-  /// dedicated collective stream, so collective faults never shift the
-  /// storage fault sequence (and vice versa) — the flow's fault-RNG draws
-  /// stay bit-identical across worker counts.
-  /// Declares `count` workers, all up, all in group 0. Replaces previous
-  /// worker state.
-  void ConfigureWorkers(size_t count);
-  size_t WorkerCount() const { return workers_.size(); }
-
+  /// --- Collective channel (worker traffic). ---
   /// Installs the failure model of the collective channel and reseeds its
   /// fault stream. Pass an inactive plan to disable collective faults.
   void set_collective_fault_plan(const FaultPlan& plan);
-  const FaultPlan& collective_fault_plan() const {
-    return collective_fault_plan_;
-  }
-
-  bool IsWorkerUp(size_t worker) const {
-    return worker < workers_.size() && workers_[worker].up;
-  }
-
-  /// True when the worker is up and on the flow coordinator's side of any
-  /// worker partition (group 0) — i.e. it can take part in a collective
-  /// step right now.
-  bool IsWorkerReachable(size_t worker) const {
-    return worker < workers_.size() && workers_[worker].up &&
-           workers_[worker].group == 0;
-  }
-
-  /// True when two distinct workers can talk to each other: both up and in
-  /// the same partition group (ring neighbours need this).
-  bool WorkerPairReachable(size_t a, size_t b) const {
-    return a < workers_.size() && b < workers_.size() && a != b &&
-           workers_[a].up && workers_[b].up &&
-           workers_[a].group == workers_[b].group;
-  }
-
-  /// Kills / restarts a worker; charges the node costs like
-  /// CrashNode/RestartNode. Errors mirror the participant-node variants.
-  Status CrashWorker(size_t worker);
-  Status RestartWorker(size_t worker);
-
-  /// Splits the workers into partition groups, same contract as
-  /// Partition(): `groups[i]` lists the workers cut into group i+1,
-  /// unlisted workers stay in group 0 (the majority side the flow
-  /// coordinator observes). Replica partitions are untouched.
-  Status PartitionWorkers(const std::vector<std::vector<size_t>>& groups);
-
-  /// Heals all worker partitions: every worker rejoins group 0.
-  void HealWorkers();
-
-  /// Attempts one worker-to-worker message of `bytes` (gradient-exchange
-  /// traffic). Fails Unavailable after one latency charge when the pair
-  /// cannot reach each other — no fault draw, so crash/partition windows
-  /// never shift later collective fault decisions. Reachable pairs draw
-  /// from the collective fault stream; the collective channel is modeled
-  /// with link-level retransmission, so a delivered payload is never
-  /// corrupted — a corruption draw is charged one extra retransmission
-  /// instead.
-  TransferAttempt TryTransferBetweenWorkers(size_t from, size_t to,
-                                            uint64_t bytes);
-
-  /// Per-worker tallies since the last ResetFaultCounters/Reset.
-  Result<FaultCounters> WorkerFaultCounters(size_t worker) const;
-  /// Messages rejected because the worker pair was unreachable.
-  Result<uint64_t> WorkerRejectCount(size_t worker) const;
-  Result<uint64_t> WorkerCrashCount(size_t worker) const;
-  Result<uint64_t> WorkerRestartCount(size_t worker) const;
-  /// Messages rejected across all workers.
-  uint64_t WorkerRejectCount() const { return worker_reject_count_; }
-  /// Collective-channel retransmissions charged for corruption draws.
-  uint64_t WorkerRetransmitCount() const { return worker_retransmit_count_; }
-
-  /// Per-replica tallies since the last ResetFaultCounters/Reset.
-  Result<FaultCounters> ReplicaFaultCounters(size_t replica) const;
-  /// Messages rejected because the replica was down or partitioned.
-  Result<uint64_t> ReplicaRejectCount(size_t replica) const;
-  Result<uint64_t> ReplicaCrashCount(size_t replica) const;
-  Result<uint64_t> ReplicaRestartCount(size_t replica) const;
-
-  /// Lifecycle counters since the last Reset.
-  uint64_t CrashCount() const { return crash_count_; }
-  uint64_t RestartCount() const { return restart_count_; }
-  /// Messages that failed because their destination node was down.
-  uint64_t DownNodeRejectCount() const { return down_node_reject_count_; }
-  /// Messages that failed because their destination replica was down or
-  /// partitioned away from the sender.
-  uint64_t ReplicaRejectCount() const { return replica_reject_count_; }
-  /// Partition/Heal transitions applied (direct calls and due events).
-  uint64_t PartitionCount() const { return partition_count_; }
-  uint64_t HealCount() const { return heal_count_; }
+  const FaultPlan& collective_fault_plan() const { return collective_.plan; }
 
   /// Total simulated time spent in transfers (including faulted attempts
   /// and backoff waits).
@@ -426,7 +353,7 @@ class Network {
   /// Total bytes moved by successful messages.
   uint64_t TotalBytes() const { return total_bytes_; }
 
-  /// Number of messages attempted (successful or faulted).
+  /// Number of messages attempted (successful, faulted or rejected).
   uint64_t MessageCount() const { return message_count_; }
 
   /// Fault counters since the last ResetFaultCounters/set_fault_plan/Reset.
@@ -435,31 +362,24 @@ class Network {
   uint64_t CorruptionCount() const { return faults_.corruptions; }
   uint64_t FaultCount() const { return faults_.Total(); }
 
+  /// Rewinds the clock, reseeds every fault stream, brings every node up in
+  /// group 0 with zero tallies and drops the replica schedule. Node counts
+  /// and fault plans stay.
   void Reset();
 
  private:
-  struct ReplicaState {
-    bool up = true;
-    int group = 0;
-    bool has_plan = false;
+  /// A fault plan and the stream its decisions are drawn from.
+  struct Stream {
+    explicit Stream(const FaultPlan& p = FaultPlan{}) : plan(p), rng(p.seed) {}
     FaultPlan plan;
-    Rng rng{0};
-    FaultCounters faults;
-    uint64_t rejects = 0;
-    uint64_t crashes = 0;
-    uint64_t restarts = 0;
+    Rng rng;
   };
 
-  /// Workers reuse the replica state shape minus the per-node fault plan:
-  /// all workers share the one collective stream (a plan per worker would
-  /// let worker count change the draw sequence).
-  struct WorkerState {
+  struct Node {
     bool up = true;
     int group = 0;
-    FaultCounters faults;
-    uint64_t rejects = 0;
-    uint64_t crashes = 0;
-    uint64_t restarts = 0;
+    std::optional<Stream> own_stream;  // replicas only (SetReplicaFaultPlan)
+    NodeTally tally;
   };
 
   struct ReplicaEvent {
@@ -470,23 +390,37 @@ class Network {
     std::vector<std::vector<size_t>> groups;
   };
 
-  /// One fault-plan decision over `bytes`; draws from `rng`, tallies into
-  /// the global, per-op, and (when given) per-node counters.
-  TransferAttempt AttemptWithPlan(const FaultPlan& plan, Rng* rng,
-                                  uint64_t bytes, FaultCounters* node_faults);
-  void CountFault(FaultCounters* replica_faults,
-                  uint64_t FaultCounters::* kind);
+  std::vector<Node>& Nodes(Role role) {
+    return nodes_[static_cast<size_t>(role)];
+  }
+  const std::vector<Node>& Nodes(Role role) const {
+    return nodes_[static_cast<size_t>(role)];
+  }
+  /// InvalidArgument unless `node` is configured in `role`.
+  Status CheckConfigured(Role role, size_t node) const;
+  void Configure(Role role, size_t count);
+  /// Crash (up = false) or Restart (up = true).
+  Status SetNodeUp(Role role, size_t node, bool up);
+  /// Inserts after every event due no later, keeping the queue sorted.
+  void Schedule(ReplicaEvent event);
+  /// One latency charge and an Unavailable status; no fault draw, so a
+  /// crash or partition window never shifts later fault decisions.
+  TransferAttempt Reject(Role role, size_t node, const std::string& why);
+  /// One message to a reachable node, drawn from its role's stream.
+  TransferAttempt Deliver(Role role, size_t node, bool peer, uint64_t bytes);
+  /// One fault decision over `bytes` from `stream` (none when null, or when
+  /// its plan is inactive); tallies into the global, per-op, and (when
+  /// given) per-node counters.
+  TransferAttempt Attempt(Stream* stream, uint64_t bytes,
+                          FaultCounters* node_faults);
+  void CountFault(FaultCounters* node_faults, uint64_t FaultCounters::* kind);
 
   Link link_;
   VirtualClock clock_;
-  FaultPlan fault_plan_;
-  Rng fault_rng_;
-  FaultPlan collective_fault_plan_;
-  Rng collective_fault_rng_{FaultPlan{}.seed};
+  Stream storage_;
+  Stream collective_;
   NodeCosts node_costs_;
-  std::vector<bool> node_up_;
-  std::vector<ReplicaState> replicas_;
-  std::vector<WorkerState> workers_;
+  std::array<std::vector<Node>, 3> nodes_;  // indexed by Role
   std::vector<ReplicaEvent> replica_events_;  // sorted by at_seconds, stable
   const char* current_op_ = nullptr;
   double request_deadline_seconds_ = 0.0;
@@ -494,14 +428,6 @@ class Network {
   uint64_t total_bytes_ = 0;
   uint64_t message_count_ = 0;
   FaultCounters faults_;
-  uint64_t crash_count_ = 0;
-  uint64_t restart_count_ = 0;
-  uint64_t down_node_reject_count_ = 0;
-  uint64_t replica_reject_count_ = 0;
-  uint64_t worker_reject_count_ = 0;
-  uint64_t worker_retransmit_count_ = 0;
-  uint64_t partition_count_ = 0;
-  uint64_t heal_count_ = 0;
 };
 
 }  // namespace mmlib::simnet

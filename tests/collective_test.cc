@@ -15,6 +15,8 @@
 namespace mmlib {
 namespace {
 
+constexpr simnet::Role kWorker = simnet::Role::kWorker;
+
 /// Overridable so CI can sweep several fault schedules over the same
 /// assertions (MMLIB_FAULT_SEED=3 ctest -R collective ...).
 uint64_t FaultSeed() {
@@ -63,40 +65,44 @@ std::vector<const std::vector<float>*> Pointers(
 TEST(WorkerSpaceTest, TransfersChargeAndRejectLikeReplicas) {
   simnet::Network network;
   network.ConfigureWorkers(3);
-  EXPECT_EQ(network.WorkerCount(), 3u);
-  EXPECT_TRUE(network.IsWorkerReachable(0));
-  EXPECT_TRUE(network.WorkerPairReachable(0, 1));
-  EXPECT_FALSE(network.WorkerPairReachable(1, 1));  // distinct workers only
+  EXPECT_EQ(network.NodeCount(kWorker), 3u);
+  EXPECT_TRUE(network.IsReachable(kWorker, 0));
+  EXPECT_TRUE(network.PairReachable(kWorker, 0, 1));
+  EXPECT_FALSE(network.PairReachable(kWorker, 1, 1));  // distinct only
 
-  simnet::TransferAttempt ok = network.TryTransferBetweenWorkers(0, 1, 1024);
+  simnet::TransferAttempt ok = network.TryTransferBetween(kWorker, 0, 1, 1024);
   EXPECT_TRUE(ok.status.ok());
   EXPECT_GT(ok.seconds, 0.0);
 
   // A down destination rejects after one latency charge, with no fault
   // draw and per-worker attribution.
-  ASSERT_TRUE(network.CrashWorker(1).ok());
-  EXPECT_FALSE(network.IsWorkerUp(1));
-  EXPECT_EQ(network.CrashWorker(1).code(), StatusCode::kFailedPrecondition);
-  simnet::TransferAttempt down = network.TryTransferBetweenWorkers(0, 1, 64);
+  ASSERT_TRUE(network.Crash(kWorker, 1).ok());
+  EXPECT_FALSE(network.IsUp(kWorker, 1));
+  EXPECT_EQ(network.Crash(kWorker, 1).code(), StatusCode::kFailedPrecondition);
+  simnet::TransferAttempt down = network.TryTransferBetween(kWorker, 0, 1, 64);
   EXPECT_EQ(down.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(network.WorkerRejectCount(), 1u);
-  EXPECT_EQ(network.WorkerRejectCount(1).value(), 1u);
-  EXPECT_EQ(network.WorkerCrashCount(1).value(), 1u);
-  ASSERT_TRUE(network.RestartWorker(1).ok());
-  EXPECT_EQ(network.WorkerRestartCount(1).value(), 1u);
+  uint64_t rejects = 0;
+  for (size_t w = 0; w < 3; ++w) {
+    rejects += network.Tally(kWorker, w).value().rejects;
+  }
+  EXPECT_EQ(rejects, 1u);
+  EXPECT_EQ(network.Tally(kWorker, 1).value().rejects, 1u);
+  EXPECT_EQ(network.Tally(kWorker, 1).value().crashes, 1u);
+  ASSERT_TRUE(network.Restart(kWorker, 1).ok());
+  EXPECT_EQ(network.Tally(kWorker, 1).value().restarts, 1u);
 
   // Partitioned pairs reject; healed pairs talk again.
-  ASSERT_TRUE(network.PartitionWorkers({{2}}).ok());
-  EXPECT_FALSE(network.WorkerPairReachable(0, 2));
-  EXPECT_FALSE(network.IsWorkerReachable(2));
-  EXPECT_EQ(network.TryTransferBetweenWorkers(0, 2, 64).status.code(),
+  ASSERT_TRUE(network.Partition(kWorker, {{2}}).ok());
+  EXPECT_FALSE(network.PairReachable(kWorker, 0, 2));
+  EXPECT_FALSE(network.IsReachable(kWorker, 2));
+  EXPECT_EQ(network.TryTransferBetween(kWorker, 0, 2, 64).status.code(),
             StatusCode::kUnavailable);
-  network.HealWorkers();
-  EXPECT_TRUE(network.TryTransferBetweenWorkers(0, 2, 64).status.ok());
+  network.Heal(kWorker);
+  EXPECT_TRUE(network.TryTransferBetween(kWorker, 0, 2, 64).status.ok());
 
-  EXPECT_EQ(network.PartitionWorkers({{9}}).code(),
+  EXPECT_EQ(network.Partition(kWorker, {{9}}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(network.PartitionWorkers({{0}, {0}}).code(),
+  EXPECT_EQ(network.Partition(kWorker, {{0}, {0}}).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -110,14 +116,17 @@ TEST(WorkerSpaceTest, CorruptionDrawBecomesRetransmission) {
 
   const double clean_cost = simnet::Link{}.TransferSeconds(4096);
   simnet::TransferAttempt attempt =
-      network.TryTransferBetweenWorkers(0, 1, 4096);
+      network.TryTransferBetween(kWorker, 0, 1, 4096);
   // Link-level retransmission: the payload is never surfaced corrupted;
   // the draw costs one extra transfer instead.
   EXPECT_TRUE(attempt.status.ok());
   EXPECT_FALSE(attempt.corrupted);
   EXPECT_NEAR(attempt.seconds, 2 * clean_cost, 1e-12);
-  EXPECT_EQ(network.WorkerRetransmitCount(), 1u);
-  EXPECT_EQ(network.WorkerFaultCounters(1).value().corruptions, 1u);
+  // One corruption draw, so one retransmission: the original message and
+  // its resend both went out.
+  EXPECT_EQ(network.CorruptionCount(), 1u);
+  EXPECT_EQ(network.MessageCount(), 2u);
+  EXPECT_EQ(network.Tally(kWorker, 1).value().faults.corruptions, 1u);
 }
 
 TEST(WorkerSpaceTest, CollectiveStreamIsIndependentOfStorageStream) {
@@ -142,7 +151,8 @@ TEST(WorkerSpaceTest, CollectiveStreamIsIndependentOfStorageStream) {
     std::vector<bool> outcomes;
     for (int i = 0; i < 32; ++i) {
       if (with_collective) {
-        (void)network.TryTransferBetweenWorkers(i % 4, (i + 1) % 4, 512);
+        (void)network.TryTransferBetween(kWorker, i % 4, (i + 1) % 4,
+                                         512);
       }
       outcomes.push_back(network.TryTransfer(1024).status.ok());
     }
@@ -351,7 +361,7 @@ TEST(RingSessionTest, PermanentLossRescalesTheSurvivingCohort) {
   ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &full).ok());
   ASSERT_TRUE(session.AllReduce(2, Pointers(inputs), &degraded).ok());
   EXPECT_EQ(session.report().degraded_steps, 1u);
-  EXPECT_EQ(network.WorkerCrashCount(3).value(), 1u);
+  EXPECT_EQ(network.Tally(kWorker, 3).value().crashes, 1u);
 
   // Step 2 is the mean over survivors {0,1,2}: tree fold over 3 ranks / 3.
   for (size_t j = 0; j < 50; ++j) {
@@ -388,11 +398,12 @@ TEST(RingSessionTest, MinorityPartitionContinuesDegraded) {
   EXPECT_EQ(session.report().degraded_steps, 1u);
   EXPECT_EQ(session.report().stalled_steps, 0u);
   EXPECT_EQ(session.report().workers[0].excluded_steps, 1u);
+  EXPECT_FALSE(network.IsReachable(kWorker, 0));
   // Healed at step 3: the returning worker re-syncs and the cohort is full.
   ASSERT_TRUE(session.AllReduce(3, Pointers(inputs), &out).ok());
   EXPECT_EQ(session.report().degraded_steps, 1u);
   EXPECT_EQ(session.report().workers[0].rejoin_syncs, 1u);
-  EXPECT_EQ(network.HealCount(), 1u);
+  EXPECT_TRUE(network.IsReachable(kWorker, 0));
 }
 
 TEST(RingSessionTest, MajorityPartitionStallsUntilHeal) {
@@ -490,8 +501,8 @@ TEST(RingSessionTest, ArmedCrashSitesFireAndRejoinRecovers) {
 
     // Kill/restart the worker like the flow does, re-sync it, replay the
     // step: the result matches the crash-free run bit for bit.
-    ASSERT_TRUE(network.CrashWorker(2).ok());
-    ASSERT_TRUE(network.RestartWorker(2).ok());
+    ASSERT_TRUE(network.Crash(kWorker, 2).ok());
+    ASSERT_TRUE(network.Restart(kWorker, 2).ok());
     ASSERT_TRUE(session.RejoinWorker(2, 32 * 4).ok());
     ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &out).ok());
     EXPECT_EQ(out, clean);
@@ -504,10 +515,10 @@ TEST(RingSessionTest, RejoinRequiresARestartedWorker) {
   collective::RingSession session(2, collective::RingOptions{}, &network);
   EXPECT_EQ(session.RejoinWorker(9, 128).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(network.CrashWorker(1).ok());
+  ASSERT_TRUE(network.Crash(kWorker, 1).ok());
   EXPECT_EQ(session.RejoinWorker(1, 128).code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(network.RestartWorker(1).ok());
+  ASSERT_TRUE(network.Restart(kWorker, 1).ok());
   EXPECT_TRUE(session.RejoinWorker(1, 128).ok());
 }
 

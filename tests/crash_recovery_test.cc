@@ -35,6 +35,9 @@
 namespace mmlib {
 namespace {
 
+constexpr simnet::Role kParticipant = simnet::Role::kParticipant;
+constexpr simnet::Role kReplica = simnet::Role::kReplica;
+
 /// Overridable from the environment so CI can sweep several schedules over
 /// the same assertions (MMLIB_FAULT_SEED=1 ctest -R crash_recovery ...).
 uint64_t FaultSeed() {
@@ -968,9 +971,13 @@ TEST(FlowCrashTest, CrashScheduleLandsBitIdenticalWithCountedRecovery) {
   EXPECT_EQ(crashed.TotalRetrainedSteps(), 1u);
   EXPECT_EQ(clean.TotalCrashes(), 0u);
   // The simulated cluster observed the outage and charged its cost.
-  EXPECT_EQ(crash_network.CrashCount(), 1u);
-  EXPECT_EQ(crash_network.RestartCount(), 1u);
-  EXPECT_TRUE(crash_network.IsNodeUp(0));
+  for (size_t node = 0; node < 2; ++node) {
+    const simnet::NodeTally tally =
+        crash_network.Tally(kParticipant, node).value();
+    EXPECT_EQ(tally.crashes, node == 0 ? 1u : 0u) << node;
+    EXPECT_EQ(tally.restarts, node == 0 ? 1u : 0u) << node;
+  }
+  EXPECT_TRUE(crash_network.IsUp(kParticipant, 0));
   EXPECT_GT(crash_network.TotalTransferSeconds(), 0.0);
 
   // Crash + resume leaves the stores bit-identical to the crash-free run:
@@ -1207,7 +1214,7 @@ TEST(FlowCrashTest, CrashWhileReplicaPartitionIsActiveLandsBitIdentical) {
     auto docs =
         repl::ReplicatedDocumentStore::Create(doc_ptrs, &network, {}).value();
     if (with_partition) {
-      ASSERT_TRUE(network.Partition({{1}}).ok());
+      ASSERT_TRUE(network.Partition(kReplica, {{1}}).ok());
     }
 
     dist::FlowConfig config;
@@ -1279,32 +1286,39 @@ TEST(FlowCrashTest, CrashWhileReplicaPartitionIsActiveLandsBitIdentical) {
 
 TEST(SimnetNodeCrashTest, LifecycleChargesCostsAndRejectsWhileDown) {
   simnet::Network network;
-  network.ConfigureNodes(2);
-  ASSERT_EQ(network.NodeCount(), 2u);
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_TRUE(network.TryTransferToNode(0, 1000).status.ok());
+  network.ConfigureParticipants(2);
+  ASSERT_EQ(network.NodeCount(kParticipant), 2u);
+  EXPECT_TRUE(network.IsUp(kParticipant, 0));
+  EXPECT_TRUE(network.TryTransferTo(kParticipant, 0, 1000).status.ok());
 
-  ASSERT_TRUE(network.CrashNode(0).ok());
-  EXPECT_FALSE(network.IsNodeUp(0));
-  EXPECT_TRUE(network.IsNodeUp(1));
-  EXPECT_EQ(network.CrashNode(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(network.CrashNode(9).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(network.Crash(kParticipant, 0).ok());
+  EXPECT_FALSE(network.IsUp(kParticipant, 0));
+  EXPECT_TRUE(network.IsUp(kParticipant, 1));
+  EXPECT_EQ(network.Crash(kParticipant, 0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(network.Crash(kParticipant, 9).code(),
+            StatusCode::kInvalidArgument);
 
   // Requests to the down node fail Unavailable after one latency charge;
   // the other node is untouched.
   const double before = network.TotalTransferSeconds();
-  const auto attempt = network.TryTransferToNode(0, 1000);
+  const auto attempt = network.TryTransferTo(kParticipant, 0, 1000);
   EXPECT_EQ(attempt.status.code(), StatusCode::kUnavailable);
   EXPECT_GT(network.TotalTransferSeconds(), before);
-  EXPECT_EQ(network.DownNodeRejectCount(), 1u);
-  EXPECT_TRUE(network.TryTransferToNode(1, 1000).status.ok());
+  EXPECT_EQ(network.Tally(kParticipant, 0).value().rejects, 1u);
+  EXPECT_TRUE(network.TryTransferTo(kParticipant, 1, 1000).status.ok());
+  EXPECT_EQ(network.Tally(kParticipant, 1).value().rejects, 0u);
 
-  ASSERT_TRUE(network.RestartNode(0).ok());
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_EQ(network.RestartNode(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(network.TryTransferToNode(0, 1000).status.ok());
-  EXPECT_EQ(network.CrashCount(), 1u);
-  EXPECT_EQ(network.RestartCount(), 1u);
+  ASSERT_TRUE(network.Restart(kParticipant, 0).ok());
+  EXPECT_TRUE(network.IsUp(kParticipant, 0));
+  EXPECT_EQ(network.Restart(kParticipant, 0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(network.TryTransferTo(kParticipant, 0, 1000).status.ok());
+  for (size_t node = 0; node < 2; ++node) {
+    const simnet::NodeTally tally = network.Tally(kParticipant, node).value();
+    EXPECT_EQ(tally.crashes, node == 0 ? 1u : 0u) << node;
+    EXPECT_EQ(tally.restarts, node == 0 ? 1u : 0u) << node;
+  }
 
   // Crash detection and restart are charged to the virtual clock.
   const simnet::NodeCosts costs = network.node_costs();
@@ -1312,33 +1326,33 @@ TEST(SimnetNodeCrashTest, LifecycleChargesCostsAndRejectsWhileDown) {
             costs.crash_detect_seconds + costs.restart_seconds);
 
   network.Reset();
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_EQ(network.CrashCount(), 0u);
-  EXPECT_EQ(network.DownNodeRejectCount(), 0u);
+  EXPECT_TRUE(network.IsUp(kParticipant, 0));
+  EXPECT_EQ(network.Tally(kParticipant, 0).value().crashes, 0u);
+  EXPECT_EQ(network.Tally(kParticipant, 0).value().rejects, 0u);
 }
 
 TEST(SimnetNodeCrashTest, RetrierRidesOutARestart) {
   simnet::Network network;
-  network.ConfigureNodes(1);
+  network.ConfigureParticipants(1);
   simnet::RetryPolicy policy;
   policy.initial_backoff_seconds = 0.01;
   simnet::Retrier retrier(policy, &network);
-  ASSERT_TRUE(network.CrashNode(0).ok());
+  ASSERT_TRUE(network.Crash(kParticipant, 0).ok());
 
   int attempts = 0;
   const Status status = retrier.Run([&]() -> Status {
     ++attempts;
-    const auto attempt = network.TryTransferToNode(0, 512);
-    if (!attempt.status.ok() && !network.IsNodeUp(0)) {
+    const auto attempt = network.TryTransferTo(kParticipant, 0, 512);
+    if (!attempt.status.ok() && !network.IsUp(kParticipant, 0)) {
       // The node comes back while the sender backs off.
-      EXPECT_TRUE(network.RestartNode(0).ok());
+      EXPECT_TRUE(network.Restart(kParticipant, 0).ok());
     }
     return attempt.status;
   });
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(attempts, 2);
   EXPECT_EQ(retrier.retry_count(), 1u);
-  EXPECT_EQ(network.DownNodeRejectCount(), 1u);
+  EXPECT_EQ(network.Tally(kParticipant, 0).value().rejects, 1u);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 namespace mmlib {
 namespace {
 
+constexpr simnet::Role kReplica = simnet::Role::kReplica;
+
 /// Seed of the fault plans and schedules below; overridable so CI can sweep
 /// several schedules over the same assertions (MMLIB_FAULT_SEED=2 ctest -R
 /// replication ...).
@@ -154,7 +156,7 @@ TEST(ReplicatedStoreTest, WritesReplicateEverywhereAndStatsStayLogical) {
 
 TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
   ReplicatedCluster cluster(3);
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(kReplica, 1).ok());
 
   const Bytes content(500, 7);
   const std::string id = cluster.files->SaveFile(content).value();
@@ -166,7 +168,7 @@ TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
 
   // Once the replica returns, one anti-entropy pass re-copies the miss and
   // converges every replica to identical trees.
-  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Restart(kReplica, 1).ok());
   repl::Scrubber scrubber(cluster.files.get(), cluster.docs.get(),
                           &cluster.network);
   const repl::ScrubReport report = scrubber.ScrubOnce().value();
@@ -178,8 +180,8 @@ TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
 
 TEST(ReplicatedStoreTest, BelowQuorumWritesFailFastAndLeaveNoTornState) {
   ReplicatedCluster cluster(3);
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(kReplica, 1).ok());
+  ASSERT_TRUE(cluster.network.Crash(kReplica, 2).ok());
 
   const double before_seconds = cluster.network.TotalTransferSeconds();
   const auto saved = cluster.files->SaveFile(Bytes(100, 1));
@@ -216,7 +218,7 @@ TEST(ReplicatedStoreTest, IdSequenceIsIdenticalHoweverManyReplicasAreUp) {
   std::vector<std::string> degraded_ids;
   {
     ReplicatedCluster cluster(3);
-    ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
+    ASSERT_TRUE(cluster.network.Crash(kReplica, 0).ok());
     for (int i = 0; i < 4; ++i) {
       degraded_ids.push_back(
           cluster.files->SaveFile(Bytes(64, uint8_t(i))).value());
@@ -282,11 +284,11 @@ TEST(ReplicatedStoreTest, ReadsBelowQuorumFailUnavailable) {
   ReplicatedCluster cluster(3);
   const std::string id = cluster.files->SaveFile(Bytes(100, 3)).value();
 
-  ASSERT_TRUE(cluster.network.Partition({{1, 2}}).ok());
+  ASSERT_TRUE(cluster.network.Partition(kReplica, {{1, 2}}).ok());
   const auto loaded = cluster.files->LoadFile(id);
   EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
 
-  cluster.network.Heal();
+  cluster.network.Heal(kReplica);
   EXPECT_EQ(cluster.files->LoadFile(id).value(), Bytes(100, 3));
 }
 
@@ -297,33 +299,39 @@ TEST(ReplicatedStoreTest, ReadsBelowQuorumFailUnavailable) {
 TEST(SimnetReplicaTest, PartitionGroupsGateReachability) {
   simnet::Network network;
   network.ConfigureReplicas(4);
-  ASSERT_TRUE(network.Partition({{2, 3}}).ok());
+  ASSERT_TRUE(network.Partition(kReplica, {{2, 3}}).ok());
 
-  EXPECT_TRUE(network.IsReplicaReachable(0));
-  EXPECT_TRUE(network.IsReplicaReachable(1));
-  EXPECT_FALSE(network.IsReplicaReachable(2));
-  EXPECT_FALSE(network.IsReplicaReachable(3));
+  EXPECT_TRUE(network.IsReachable(kReplica, 0));
+  EXPECT_TRUE(network.IsReachable(kReplica, 1));
+  EXPECT_FALSE(network.IsReachable(kReplica, 2));
+  EXPECT_FALSE(network.IsReachable(kReplica, 3));
   // Pairs inside one group talk; pairs across the cut do not.
-  EXPECT_TRUE(network.ReplicaPairReachable(0, 1));
-  EXPECT_TRUE(network.ReplicaPairReachable(2, 3));
-  EXPECT_FALSE(network.ReplicaPairReachable(1, 2));
+  EXPECT_TRUE(network.PairReachable(kReplica, 0, 1));
+  EXPECT_TRUE(network.PairReachable(kReplica, 2, 3));
+  EXPECT_FALSE(network.PairReachable(kReplica, 1, 2));
 
-  EXPECT_EQ(network.TryTransferToReplica(2, 100).status.code(),
+  EXPECT_EQ(network.TryTransferTo(kReplica, 2, 100).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
-  EXPECT_EQ(network.TryTransferBetweenReplicas(1, 3, 100).status.code(),
+  EXPECT_TRUE(network.TryTransferTo(kReplica, 1, 100).status.ok());
+  EXPECT_EQ(network.TryTransferBetween(kReplica, 1, 3, 100).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_TRUE(network.TryTransferBetweenReplicas(2, 3, 100).status.ok());
+  EXPECT_TRUE(network.TryTransferBetween(kReplica, 2, 3, 100).status.ok());
 
   // Listing a replica twice (or an unknown one) is a configuration bug.
-  EXPECT_EQ(network.Partition({{0}, {0}}).code(),
+  EXPECT_EQ(network.Partition(kReplica, {{0}, {0}}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(network.Partition({{9}}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(network.Partition(kReplica, {{9}}).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected partition leaves every group as it was.
+  EXPECT_TRUE(network.IsReachable(kReplica, 0));
+  EXPECT_FALSE(network.IsReachable(kReplica, 2));
+  EXPECT_TRUE(network.PairReachable(kReplica, 2, 3));
 
-  network.Heal();
-  EXPECT_TRUE(network.IsReplicaReachable(3));
-  EXPECT_EQ(network.PartitionCount(), 1u);
-  EXPECT_EQ(network.HealCount(), 1u);
+  network.Heal(kReplica);
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_TRUE(network.IsReachable(kReplica, r)) << r;
+  }
+  EXPECT_TRUE(network.PairReachable(kReplica, 1, 2));
 }
 
 TEST(SimnetReplicaTest, ReplicaFaultStreamsAreIndependent) {
@@ -335,45 +343,65 @@ TEST(SimnetReplicaTest, ReplicaFaultStreamsAreIndependent) {
   ASSERT_TRUE(network.SetReplicaFaultPlan(0, noisy).ok());
   // Replica 1 keeps the (inactive) global plan: no faults at all.
   for (int i = 0; i < 100; ++i) {
-    (void)network.TryTransferToReplica(0, 100);
-    (void)network.TryTransferToReplica(1, 100);
+    (void)network.TryTransferTo(kReplica, 0, 100);
+    (void)network.TryTransferTo(kReplica, 1, 100);
   }
-  EXPECT_GT(network.ReplicaFaultCounters(0).value().Total(), 0u);
-  EXPECT_EQ(network.ReplicaFaultCounters(1).value().Total(), 0u);
-  EXPECT_EQ(network.ReplicaFaultCounters(7).status().code(),
+  EXPECT_GT(network.Tally(kReplica, 0).value().faults.Total(), 0u);
+  EXPECT_EQ(network.Tally(kReplica, 1).value().faults.Total(), 0u);
+  EXPECT_EQ(network.Tally(kReplica, 7).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(SimnetReplicaTest, ScheduledEventsFireOnTheVirtualClock) {
   simnet::Network network(simnet::Link{1e6, 1e-3});
   network.ConfigureReplicas(2);
+  // Events at one time fire in scheduling order, whatever their kind and
+  // wherever they were queued among the others: replica 0 goes down and
+  // back up at t=8; replica 1's restart at t=10 is a no-op (it is up) and
+  // the crash queued after it takes it down.
+  network.ScheduleReplicaCrash(0, 8.0);
+  network.ScheduleReplicaRestart(1, 10.0);
   network.ScheduleReplicaCrash(1, /*at_seconds=*/1.0);
   network.ScheduleReplicaRestart(1, /*at_seconds=*/2.0);
-  network.SchedulePartition(4.0, {{0}});
-  network.ScheduleHeal(6.0);
+  network.ScheduleReplicaPartition(4.0, {{0}});
+  network.ScheduleReplicaHeal(6.0);
+  network.ScheduleReplicaRestart(0, 8.0);
+  network.ScheduleReplicaCrash(1, 10.0);
 
   // Before t=1 the replica serves.
-  EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
+  EXPECT_TRUE(network.TryTransferTo(kReplica, 1, 100).status.ok());
 
   network.ChargeSeconds(1.5);  // past the crash, before the restart
-  EXPECT_EQ(network.TryTransferToReplica(1, 100).status.code(),
+  EXPECT_EQ(network.TryTransferTo(kReplica, 1, 100).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(network.ReplicaCrashCount(1).value(), 1u);
+  EXPECT_EQ(network.Tally(kReplica, 1).value().crashes, 1u);
 
   // Past the restart (t ≈ 2.55; the applied restart itself charges another
   // 0.5 s of reboot time before the message goes out).
   network.ChargeSeconds(1.0);
-  EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
-  EXPECT_EQ(network.ReplicaRestartCount(1).value(), 1u);
+  EXPECT_TRUE(network.TryTransferTo(kReplica, 1, 100).status.ok());
+  EXPECT_EQ(network.Tally(kReplica, 1).value().restarts, 1u);
 
   network.ChargeSeconds(1.0);  // past the partition (t ≈ 4.05)
   network.ApplyDueReplicaEvents();
-  EXPECT_FALSE(network.IsReplicaReachable(0));
-  EXPECT_TRUE(network.IsReplicaReachable(1));
+  EXPECT_FALSE(network.IsReachable(kReplica, 0));
+  EXPECT_TRUE(network.IsReachable(kReplica, 1));
 
   network.ChargeSeconds(2.0);  // past the heal (t ≈ 6.05)
   network.ApplyDueReplicaEvents();
-  EXPECT_TRUE(network.IsReplicaReachable(0));
+  EXPECT_TRUE(network.IsReachable(kReplica, 0));
+
+  network.ChargeSeconds(2.0);  // past t=8
+  network.ApplyDueReplicaEvents();
+  EXPECT_TRUE(network.IsUp(kReplica, 0));
+  EXPECT_EQ(network.Tally(kReplica, 0).value().crashes, 1u);
+  EXPECT_EQ(network.Tally(kReplica, 0).value().restarts, 1u);
+
+  network.ChargeSeconds(2.0);  // past t=10
+  network.ApplyDueReplicaEvents();
+  EXPECT_FALSE(network.IsUp(kReplica, 1));
+  EXPECT_EQ(network.Tally(kReplica, 1).value().crashes, 2u);
+  EXPECT_EQ(network.Tally(kReplica, 1).value().restarts, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,9 +476,9 @@ TEST(ScrubberTest, QuorumDeleteTombstoneWinsOverStragglerCopy) {
   const std::string id = cluster.files->SaveFile(content).value();
 
   // Replica 1 misses the delete; its copy becomes a straggler.
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(kReplica, 1).ok());
   ASSERT_TRUE(cluster.files->Delete(id).ok());
-  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Restart(kReplica, 1).ok());
   ASSERT_EQ(cluster.file_backends[1]->FileCount(), 1u);
 
   // Anti-entropy must re-delete the straggler, not re-spread it.
@@ -469,7 +497,7 @@ TEST(ScrubberTest, QuorumDeleteTombstoneWinsOverStragglerCopy) {
 TEST(ScrubberTest, SkipsUnreachablePairsAndCatchesUpAfterHeal) {
   ReplicatedCluster cluster(3);
   const std::string id = cluster.files->SaveFile(Bytes(100, 8)).value();
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(kReplica, 2).ok());
   Bytes rotted(100, 8);
   rotted[3] ^= 0x02;
   ASSERT_TRUE(cluster.file_backends[2]  // lint:allow(no-direct-replica-write) deliberate bit-rot
@@ -482,7 +510,7 @@ TEST(ScrubberTest, SkipsUnreachablePairsAndCatchesUpAfterHeal) {
   EXPECT_EQ(down.sessions, 1u);  // only (0,1) can talk
   EXPECT_FALSE(down.converged);  // replica 2 still diverges
 
-  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Restart(kReplica, 2).ok());
   const repl::ScrubReport healed = scrubber.ScrubOnce().value();
   EXPECT_EQ(healed.sessions, 3u);
   EXPECT_TRUE(healed.converged);
@@ -562,7 +590,7 @@ ReplicatedFlowOutcome RunReplicatedDistFlow(size_t pool_size, uint64_t seed,
   outcome.code = result.status().code();
   outcome.messages = cluster.network.MessageCount();
   for (size_t r = 0; r < 3; ++r) {
-    outcome.replica_crashes += cluster.network.ReplicaCrashCount(r).value();
+    outcome.replica_crashes += cluster.network.Tally(kReplica, r)->crashes;
   }
   outcome.seconds = cluster.network.TotalTransferSeconds();
   if (!result.ok()) {

@@ -152,8 +152,8 @@ serve::ServeReport RunScenario(Degradation degradation, uint64_t seed,
       network.ScheduleReplicaRestart(1, 3.0);
       break;
     case Degradation::kMinorityPartition:
-      network.SchedulePartition(1.0, {{2}});
-      network.ScheduleHeal(3.0);
+      network.ScheduleReplicaPartition(1.0, {{2}});
+      network.ScheduleReplicaHeal(3.0);
       break;
   }
 
@@ -329,7 +329,7 @@ TEST(HedgedReadTest, HedgesAroundACrashedPreferredReplica) {
   }
   // Crash one replica: every id preferring it must hedge to its second
   // replica and still serve the right bytes.
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(simnet::Role::kReplica, 1).ok());
   for (const std::string& id : ids) {
     auto loaded = cluster.files->LoadFileHedged(id, /*threshold=*/0.0);
     ASSERT_TRUE(loaded.ok()) << id;

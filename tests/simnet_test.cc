@@ -158,5 +158,218 @@ TEST(FaultPlanTest, SetFaultPlanReseedsAndClearsCounters) {
   EXPECT_TRUE(network.TryTransfer(100).status.ok());
 }
 
+// ---------------------------------------------------------------------------
+// Node table: the membership contract all three roles share
+// ---------------------------------------------------------------------------
+
+class NodeTableTest : public ::testing::TestWithParam<Role> {
+ protected:
+  Role role() const { return GetParam(); }
+
+  void Configure(size_t count) {
+    switch (role()) {
+      case Role::kParticipant:
+        network_.ConfigureParticipants(count);
+        break;
+      case Role::kReplica:
+        network_.ConfigureReplicas(count);
+        break;
+      case Role::kWorker:
+        network_.ConfigureWorkers(count);
+        break;
+    }
+  }
+
+  /// Installs a drop/timeout plan on the stream the role's traffic draws
+  /// from: the global plan, one plan per replica, or the collective plan.
+  void InstallFaultPlan() {
+    FaultPlan plan;
+    plan.drop_probability = 0.3;
+    plan.timeout_probability = 0.2;
+    plan.seed = 0xfeed;
+    switch (role()) {
+      case Role::kParticipant:
+        network_.set_fault_plan(plan);
+        break;
+      case Role::kReplica:
+        for (size_t r = 0; r < network_.NodeCount(Role::kReplica); ++r) {
+          plan.seed = 0xfeed + r;
+          ASSERT_TRUE(network_.SetReplicaFaultPlan(r, plan).ok());
+        }
+        break;
+      case Role::kWorker:
+        network_.set_collective_fault_plan(plan);
+        break;
+    }
+  }
+
+  /// One message of the role's own traffic to `node`: from the coordinator
+  /// for participants and replicas, from a peer worker for workers.
+  TransferAttempt Send(size_t node) {
+    if (role() == Role::kWorker) {
+      return network_.TryTransferBetween(role(), node == 0 ? 1 : 0, node,
+                                         100);
+    }
+    return network_.TryTransferTo(role(), node, 100);
+  }
+
+  /// Status codes of `count` messages alternating between nodes 0 and 1.
+  std::vector<StatusCode> Outcomes(int count) {
+    std::vector<StatusCode> codes;
+    for (int i = 0; i < count; ++i) {
+      codes.push_back(Send(static_cast<size_t>(i % 2)).status.code());
+    }
+    return codes;
+  }
+
+  Network network_;
+};
+
+TEST_P(NodeTableTest, UnconfiguredNodeIsInvalidArgument) {
+  Configure(2);
+  EXPECT_EQ(network_.NodeCount(role()), 2u);
+  EXPECT_FALSE(network_.IsUp(role(), 2));
+  EXPECT_FALSE(network_.IsReachable(role(), 2));
+  EXPECT_EQ(network_.Crash(role(), 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(network_.Restart(role(), 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(network_.Tally(role(), 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(network_.Partition(role(), {{2}}).code(),
+            StatusCode::kInvalidArgument);
+  // A message to it is rejected like one to a down node.
+  EXPECT_EQ(Send(2).status.code(), StatusCode::kUnavailable);
+  EXPECT_DOUBLE_EQ(network_.TotalTransferSeconds(),
+                   network_.link().latency_seconds);
+}
+
+TEST_P(NodeTableTest, CrashingADownOrRestartingAnUpNodeIsFailedPrecondition) {
+  Configure(2);
+  EXPECT_EQ(network_.Restart(role(), 0).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(network_.Crash(role(), 0).ok());
+  const double after_crash = network_.TotalTransferSeconds();
+  EXPECT_EQ(network_.Crash(role(), 0).code(), StatusCode::kFailedPrecondition);
+  // A refused transition charges nothing and counts nothing.
+  EXPECT_DOUBLE_EQ(network_.TotalTransferSeconds(), after_crash);
+  const NodeTally tally = network_.Tally(role(), 0).value();
+  EXPECT_EQ(tally.crashes, 1u);
+  EXPECT_EQ(tally.restarts, 0u);
+}
+
+TEST_P(NodeTableTest, CrashAndRestartChargeNodeCostsAndBumpTallies) {
+  Configure(2);
+  network_.set_node_costs(NodeCosts{0.25, 1.5});
+  ASSERT_TRUE(network_.Crash(role(), 1).ok());
+  EXPECT_DOUBLE_EQ(network_.TotalTransferSeconds(), 0.25);
+  EXPECT_FALSE(network_.IsUp(role(), 1));
+  EXPECT_TRUE(network_.IsUp(role(), 0));
+  EXPECT_EQ(Send(1).status.code(), StatusCode::kUnavailable);
+
+  ASSERT_TRUE(network_.Restart(role(), 1).ok());
+  EXPECT_DOUBLE_EQ(network_.TotalTransferSeconds(),
+                   0.25 + network_.link().latency_seconds + 1.5);
+  EXPECT_TRUE(Send(1).status.ok());
+
+  const NodeTally tally = network_.Tally(role(), 1).value();
+  EXPECT_EQ(tally.crashes, 1u);
+  EXPECT_EQ(tally.restarts, 1u);
+  EXPECT_EQ(tally.rejects, 1u);
+  const NodeTally other = network_.Tally(role(), 0).value();
+  EXPECT_EQ(other.crashes + other.restarts + other.rejects, 0u);
+}
+
+TEST_P(NodeTableTest, PartitionRejectsUnknownAndDuplicateIds) {
+  network_.ConfigureParticipants(3);
+  network_.ConfigureReplicas(3);
+  network_.ConfigureWorkers(3);
+  ASSERT_TRUE(network_.Partition(role(), {{2}}).ok());
+  EXPECT_FALSE(network_.IsReachable(role(), 2));
+  EXPECT_FALSE(network_.PairReachable(role(), 1, 2));
+  EXPECT_EQ(Send(2).status.code(), StatusCode::kUnavailable);
+
+  EXPECT_EQ(network_.Partition(role(), {{0}, {0}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(network_.Partition(role(), {{1}, {7}}).code(),
+            StatusCode::kInvalidArgument);
+  // The rejected calls changed no group.
+  EXPECT_TRUE(network_.IsReachable(role(), 0));
+  EXPECT_TRUE(network_.IsReachable(role(), 1));
+  EXPECT_FALSE(network_.IsReachable(role(), 2));
+
+  // The other roles' nodes are untouched.
+  for (Role other : {Role::kParticipant, Role::kReplica, Role::kWorker}) {
+    if (other != role()) {
+      EXPECT_TRUE(network_.IsReachable(other, 2));
+    }
+  }
+
+  network_.Heal(role());
+  EXPECT_TRUE(network_.PairReachable(role(), 1, 2));
+  EXPECT_TRUE(Send(2).status.ok());
+}
+
+TEST_P(NodeTableTest, RejectWindowDoesNotShiftTheNextFaultDecision) {
+  Configure(2);
+  InstallFaultPlan();
+  const std::vector<StatusCode> clean = Outcomes(40);
+
+  // The same traffic, after a crash window and a partition window during
+  // which every message to node 1 was rejected.
+  network_.Reset();
+  ASSERT_TRUE(network_.Crash(role(), 1).ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(Send(1).status.code(), StatusCode::kUnavailable);
+  }
+  ASSERT_TRUE(network_.Restart(role(), 1).ok());
+  ASSERT_TRUE(network_.Partition(role(), {{1}}).ok());
+  EXPECT_EQ(Send(1).status.code(), StatusCode::kUnavailable);
+  network_.Heal(role());
+  EXPECT_EQ(network_.Tally(role(), 1).value().rejects, 4u);
+  EXPECT_EQ(network_.FaultCount(), 0u);
+
+  EXPECT_EQ(Outcomes(40), clean);
+  EXPECT_GT(network_.FaultCount(), 0u);
+}
+
+TEST_P(NodeTableTest, ResetFaultCountersZeroesTalliesAndResetKeepsPlans) {
+  Configure(2);
+  InstallFaultPlan();
+  const std::vector<StatusCode> first = Outcomes(40);
+  ASSERT_TRUE(network_.Crash(role(), 1).ok());
+  (void)Send(1);
+  ASSERT_GT(network_.Tally(role(), 0).value().faults.Total(), 0u);
+
+  network_.ResetFaultCounters();
+  for (size_t node = 0; node < 2; ++node) {
+    const NodeTally tally = network_.Tally(role(), node).value();
+    EXPECT_EQ(tally.faults.Total(), 0u) << node;
+    EXPECT_EQ(tally.rejects + tally.crashes + tally.restarts, 0u) << node;
+  }
+  EXPECT_EQ(network_.FaultCount(), 0u);
+  // Counters only: the node stays down.
+  EXPECT_FALSE(network_.IsUp(role(), 1));
+
+  // Reset brings the node back and replays the same faults: the plans
+  // (per-replica ones included) survive, reseeded.
+  network_.Reset();
+  EXPECT_TRUE(network_.IsUp(role(), 1));
+  EXPECT_EQ(Outcomes(40), first);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRoles, NodeTableTest,
+    ::testing::Values(Role::kParticipant, Role::kReplica, Role::kWorker),
+    [](const ::testing::TestParamInfo<Role>& info) {
+      switch (info.param) {
+        case Role::kParticipant:
+          return "participant";
+        case Role::kReplica:
+          return "replica";
+        case Role::kWorker:
+          return "worker";
+      }
+      return "unknown";
+    });
+
 }  // namespace
 }  // namespace mmlib::simnet
