@@ -1,9 +1,9 @@
 /// Thread-pool scaling microbenchmark: sweeps MMLIB-style pool sizes over
-/// the parallelized pipelines (conv/linear forward and backward through the
-/// kernel-plan layer, Merkle-leaf hashing, chunked codec encode), verifies
-/// that every result is bit-identical to the 1-thread run (the
-/// deterministic-chunking contract), and writes the measurements to
-/// BENCH_parallel.json.
+/// the parallelized pipelines (dense and depthwise conv and linear forward
+/// and backward through the kernel-plan layer, Merkle-leaf hashing, chunked
+/// codec encode), verifies that every result is bit-identical to the
+/// 1-thread run (the deterministic-chunking contract), and writes the
+/// measurements to BENCH_parallel.json.
 ///
 /// `--smoke` runs one rep per configuration and a smaller codec payload —
 /// no useful timings, but the full bit-identity sweep — for CI.
@@ -64,14 +64,36 @@ bool SameBits(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-Section BenchConvForward() {
-  Rng rng(1);
-  nn::Conv2d conv("bench", 8, 16, 3, 1, 1, 1, &rng);
-  Rng input_rng(2);
-  const Tensor input =
-      Tensor::Gaussian(Shape{8, 8, 32, 32}, 1.0f, &input_rng);
+/// A convolution cell: the layer and its input shape.
+struct ConvCell {
+  const char* name;
+  int64_t in_channels;
+  int64_t out_channels;
+  int64_t groups;
+  Shape input;
+};
 
-  Section section{"conv_forward", {}};
+/// The original cell: a small dense 3x3 convolution (GEMM plan).
+constexpr const char* kDenseConv = "conv";
+/// A MobileNetV2 expansion-block depthwise 3x3 (direct kernel).
+constexpr const char* kDepthwiseConv = "conv_depthwise";
+
+ConvCell ConvCellFor(const char* name) {
+  if (std::strcmp(name, kDepthwiseConv) == 0) {
+    return {name, 96, 96, 96, Shape{16, 96, 28, 28}};
+  }
+  return {name, 8, 16, 1, Shape{8, 8, 32, 32}};
+}
+
+Section BenchConvForward(const char* name, uint64_t seed) {
+  const ConvCell cell = ConvCellFor(name);
+  Rng rng(seed);
+  nn::Conv2d conv("bench", cell.in_channels, cell.out_channels, 3, 1, 1,
+                  cell.groups, &rng);
+  Rng input_rng(seed + 1);
+  const Tensor input = Tensor::Gaussian(cell.input, 1.0f, &input_rng);
+
+  Section section{std::string(name) + "_forward", {}};
   Tensor reference;
   for (size_t threads : kThreadSweep) {
     util::ThreadPool pool(threads);
@@ -89,17 +111,20 @@ Section BenchConvForward() {
   return section;
 }
 
-Section BenchConvBackward() {
-  Rng rng(11);
-  nn::Conv2d conv("bench", 8, 16, 3, 1, 1, 1, &rng);
-  Rng input_rng(12);
-  const Tensor input =
-      Tensor::Gaussian(Shape{8, 8, 32, 32}, 1.0f, &input_rng);
-  Rng gout_rng(13);
-  const Tensor gout =
-      Tensor::Gaussian(Shape{8, 16, 32, 32}, 1.0f, &gout_rng);
+Section BenchConvBackward(const char* name, uint64_t seed) {
+  const ConvCell cell = ConvCellFor(name);
+  Rng rng(seed);
+  nn::Conv2d conv("bench", cell.in_channels, cell.out_channels, 3, 1, 1,
+                  cell.groups, &rng);
+  Rng input_rng(seed + 1);
+  const Tensor input = Tensor::Gaussian(cell.input, 1.0f, &input_rng);
+  Rng gout_rng(seed + 2);
+  const Tensor gout = Tensor::Gaussian(
+      Shape{cell.input.dim(0), cell.out_channels, cell.input.dim(2),
+            cell.input.dim(3)},
+      1.0f, &gout_rng);
 
-  Section section{"conv_backward", {}};
+  Section section{std::string(name) + "_backward", {}};
   Tensor ref_gin;
   Tensor ref_gw;
   for (size_t threads : kThreadSweep) {
@@ -274,8 +299,14 @@ int main(int argc, char** argv) {
               g_smoke ? " (smoke mode: 1 rep, timings not meaningful)" : "");
 
   const std::vector<Section> sections = {
-      BenchConvForward(),    BenchConvBackward(), BenchLinearForward(),
-      BenchLinearBackward(), BenchMerkleBuild(),  BenchCodecEncode()};
+      BenchConvForward(kDenseConv, 1),
+      BenchConvBackward(kDenseConv, 11),
+      BenchConvForward(kDepthwiseConv, 31),
+      BenchConvBackward(kDepthwiseConv, 41),
+      BenchLinearForward(),
+      BenchLinearBackward(),
+      BenchMerkleBuild(),
+      BenchCodecEncode()};
 
   TablePrinter table(
       {"section", "threads", "sec/op", "speedup", "bit-identical"});

@@ -1,5 +1,7 @@
 #include "compress/codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "compress/huffman.h"
@@ -19,21 +21,33 @@ void WriteVarint(Bytes* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-Result<uint64_t> ReadVarint(const Bytes& in, size_t* pos) {
-  uint64_t v = 0;
+/// Reads one varint at *pos; false if the input ends inside it or it runs
+/// past 64 bits.
+inline bool NextVarint(const uint8_t* in, size_t size, size_t* pos,
+                       uint64_t* v) {
+  uint64_t value = 0;
   int shift = 0;
-  while (*pos < in.size()) {
+  while (*pos < size) {
     const uint8_t byte = in[(*pos)++];
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
-      return v;
+      *v = value;
+      return true;
     }
     shift += 7;
     if (shift > 63) {
       break;
     }
   }
-  return Status::Corruption("truncated varint");
+  return false;
+}
+
+Result<uint64_t> ReadVarint(const Bytes& in, size_t* pos) {
+  uint64_t v = 0;
+  if (!NextVarint(in.data(), in.size(), pos, &v)) {
+    return Status::Corruption("truncated varint");
+  }
+  return v;
 }
 
 }  // namespace
@@ -185,11 +199,49 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 1024;
 constexpr size_t kHashBits = 16;
 constexpr size_t kMaxChainDepth = 32;
+/// Empty hash-head slot; positions are 32-bit.
+constexpr uint32_t kNoPosition = 0xffffffffu;
+/// Upper bound on the bytes of one token's tag and varints.
+constexpr size_t kMaxTokenHeader = 1 + 2 * 10;
 
 inline uint32_t HashQuad(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of a and b, at most `limit`, compared eight
+/// bytes at a time.
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (x != y) {
+      const uint64_t diff = x ^ y;
+      return len + static_cast<size_t>(
+                       (std::endian::native == std::endian::little
+                            ? std::countr_zero(diff)
+                            : std::countl_zero(diff)) /
+                       8);
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
+}
+
+inline uint8_t* PutVarint(uint8_t* out, uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
 }
 
 }  // namespace
@@ -200,17 +252,44 @@ Result<Bytes> Lz77Codec::Compress(const Bytes& input) const {
   if (n == 0) {
     return out;
   }
+  if (n >= kNoPosition) {
+    return Status::InvalidArgument("LZ77 input exceeds 4 GiB");
+  }
+  const uint8_t* data = input.data();
 
-  std::vector<int64_t> head(1 << kHashBits, -1);
-  std::vector<int64_t> prev(n, -1);
+  // Hash chains: head[h] is the latest position with hash h; prev is a
+  // ring over the window, read only for candidates inside the window, so
+  // a slot is never read after a newer position has reused it.
+  std::vector<uint32_t> head(1 << kHashBits, kNoPosition);
+  std::vector<uint32_t> prev(kWindowSize);
+  auto insert = [&](size_t pos) {
+    if (pos + kMinMatch <= n) {
+      const uint32_t h = HashQuad(data + pos);
+      prev[pos & (kWindowSize - 1)] = head[h];
+      head[h] = static_cast<uint32_t>(pos);
+    }
+  };
+
+  // Tokens are written through a cursor into a buffer grown ahead of each
+  // token and trimmed at the end.
+  out.resize(n + n / 8 + 64);
+  size_t pos = 0;
+  auto reserve = [&](size_t bytes) {
+    if (pos + bytes > out.size()) {
+      out.resize(std::max(out.size() * 2, pos + bytes));
+    }
+  };
 
   size_t literal_start = 0;
   auto flush_literals = [&](size_t end) {
     if (end > literal_start) {
-      out.push_back(0x00);
-      WriteVarint(&out, end - literal_start);
-      out.insert(out.end(), input.begin() + literal_start,
-                 input.begin() + end);
+      const size_t len = end - literal_start;
+      reserve(kMaxTokenHeader + len);
+      uint8_t* cursor = out.data() + pos;
+      *cursor++ = 0x00;
+      cursor = PutVarint(cursor, len);
+      std::memcpy(cursor, data + literal_start, len);
+      pos = static_cast<size_t>(cursor + len - out.data());
     }
   };
 
@@ -219,92 +298,117 @@ Result<Bytes> Lz77Codec::Compress(const Bytes& input) const {
     size_t best_len = 0;
     size_t best_dist = 0;
     if (i + kMinMatch <= n) {
-      const uint32_t h = HashQuad(input.data() + i);
-      int64_t candidate = head[h];
+      const size_t limit = std::min(kMaxMatch, n - i);
+      uint32_t candidate = head[HashQuad(data + i)];
       size_t depth = 0;
-      while (candidate >= 0 && depth < kMaxChainDepth &&
-             i - static_cast<size_t>(candidate) <= kWindowSize) {
-        const size_t cand = static_cast<size_t>(candidate);
-        const size_t limit = std::min(kMaxMatch, n - i);
-        size_t len = 0;
-        while (len < limit && input[cand + len] == input[i + len]) {
-          ++len;
+      while (candidate != kNoPosition && depth < kMaxChainDepth &&
+             i - candidate <= kWindowSize) {
+        const size_t cand = candidate;
+        // Only a candidate that also matches at best_len can be longer.
+        if (best_len == limit) {
+          break;
         }
-        if (len >= kMinMatch && len > best_len) {
-          best_len = len;
-          best_dist = i - cand;
-          if (len == kMaxMatch) {
-            break;
+        if (data[cand + best_len] == data[i + best_len]) {
+          const size_t len = MatchLength(data + cand, data + i, limit);
+          if (len >= kMinMatch && len > best_len) {
+            best_len = len;
+            best_dist = i - cand;
+            if (len == kMaxMatch) {
+              break;
+            }
           }
         }
-        candidate = prev[cand];
+        candidate = prev[cand & (kWindowSize - 1)];
         ++depth;
       }
     }
 
     if (best_len >= kMinMatch) {
       flush_literals(i);
-      out.push_back(0x01);
-      WriteVarint(&out, best_len);
-      WriteVarint(&out, best_dist);
+      reserve(kMaxTokenHeader);
+      uint8_t* cursor = out.data() + pos;
+      *cursor++ = 0x01;
+      cursor = PutVarint(cursor, best_len);
+      cursor = PutVarint(cursor, best_dist);
+      pos = static_cast<size_t>(cursor - out.data());
       // Insert hash entries for all covered positions so later matches can
       // reference inside this match.
       const size_t match_end = i + best_len;
-      while (i < match_end) {
-        if (i + kMinMatch <= n) {
-          const uint32_t h = HashQuad(input.data() + i);
-          prev[i] = head[h];
-          head[h] = static_cast<int64_t>(i);
-        }
-        ++i;
+      for (; i < match_end; ++i) {
+        insert(i);
       }
       literal_start = i;
     } else {
-      if (i + kMinMatch <= n) {
-        const uint32_t h = HashQuad(input.data() + i);
-        prev[i] = head[h];
-        head[h] = static_cast<int64_t>(i);
-      }
+      insert(i);
       ++i;
     }
   }
   flush_literals(n);
+  out.resize(pos);
   return out;
 }
 
 Result<Bytes> Lz77Codec::Decompress(const Bytes& input,
                                     size_t max_output) const {
-  Bytes out;
+  const uint8_t* in = input.data();
+  const size_t size = input.size();
+  // Pass 1 validates the token stream and sizes the output; pass 2 copies
+  // into the output sized once.
+  size_t total = 0;
   size_t pos = 0;
-  while (pos < input.size()) {
-    const uint8_t tag = input[pos++];
-    if (tag == 0x00) {
-      MMLIB_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(input, &pos));
-      if (pos + len > input.size()) {
-        return Status::Corruption("LZ77 literal run truncated");
-      }
-      if (len > max_output - out.size()) {
-        return Status::Corruption("LZ77 output exceeds limit");
-      }
-      out.insert(out.end(), input.begin() + pos, input.begin() + pos + len);
-      pos += len;
-    } else if (tag == 0x01) {
-      MMLIB_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(input, &pos));
-      MMLIB_ASSIGN_OR_RETURN(uint64_t dist, ReadVarint(input, &pos));
-      if (dist == 0 || dist > out.size()) {
-        return Status::Corruption("LZ77 match distance out of range");
-      }
-      if (len > max_output - out.size()) {
-        return Status::Corruption("LZ77 output exceeds limit");
-      }
-      // Byte-by-byte copy: matches may overlap their own output.
-      size_t src = out.size() - dist;
-      for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);
-      }
-    } else {
+  while (pos < size) {
+    const uint8_t tag = in[pos++];
+    uint64_t len = 0;
+    if (tag > 0x01) {
       return Status::Corruption("invalid LZ77 token tag");
     }
+    if (!NextVarint(in, size, &pos, &len)) {
+      return Status::Corruption("truncated varint");
+    }
+    if (tag == 0x00) {
+      if (len > size - pos) {
+        return Status::Corruption("LZ77 literal run truncated");
+      }
+      pos += len;
+    } else {
+      uint64_t dist = 0;
+      if (!NextVarint(in, size, &pos, &dist)) {
+        return Status::Corruption("truncated varint");
+      }
+      if (dist == 0 || dist > total) {
+        return Status::Corruption("LZ77 match distance out of range");
+      }
+    }
+    if (len > max_output - total) {
+      return Status::Corruption("LZ77 output exceeds limit");
+    }
+    total += len;
+  }
+
+  Bytes out(total);
+  uint8_t* dst = out.data();
+  pos = 0;
+  while (pos < size) {
+    const uint8_t tag = in[pos++];
+    uint64_t len = 0;
+    uint64_t dist = 0;
+    NextVarint(in, size, &pos, &len);
+    if (tag == 0x00) {
+      std::memcpy(dst, in + pos, len);
+      pos += len;
+    } else {
+      NextVarint(in, size, &pos, &dist);
+      const uint8_t* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        // Overlapping match: copies its own output byte by byte.
+        for (size_t k = 0; k < len; ++k) {
+          dst[k] = src[k];
+        }
+      }
+    }
+    dst += len;
   }
   return out;
 }

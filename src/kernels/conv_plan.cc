@@ -9,7 +9,7 @@ namespace mmlib::kernels {
 namespace {
 
 /// Below this many multiply-adds per (sample, group) GEMM, packing costs
-/// more than it saves; the plan keeps the direct loop.
+/// more than it saves; the plan takes the direct kernels.
 constexpr int64_t kMinGemmWork = 16384;
 
 /// Forward chunk cap, matching the layer's historical constant: enough
@@ -31,6 +31,8 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
   const bool depthwise = geom.group_in() == 1 && geom.group_out() == 1;
   if (depthwise || m * k * n < kMinGemmWork) {
     algo_ = ConvAlgo::kDirect;
+    direct_ = PlanDirectTiling(geom);
+    backward_chunks_ = direct_.backward_chunks;
     return;
   }
   algo_ = geom.is_pointwise() ? ConvAlgo::kPointwiseGemm
@@ -57,6 +59,10 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
 
 void ConvPlan::Forward(const float* input, const float* weight, float* output,
                        util::ThreadPool* pool) const {
+  if (algo_ == ConvAlgo::kDirect) {
+    DirectConvForward(geom_, direct_, input, weight, output, pool, &scratch_);
+    return;
+  }
   const int64_t m = geom_.group_out();
   const int64_t k = geom_.patch_size();
   const int64_t n = geom_.out_pixels();
@@ -101,6 +107,11 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
 void ConvPlan::Backward(const float* input, const float* weight,
                         const float* grad_output, float* grad_input,
                         float* grad_weight, util::ThreadPool* pool) const {
+  if (algo_ == ConvAlgo::kDirect) {
+    DirectConvBackward(geom_, direct_, input, weight, grad_output, grad_input,
+                       grad_weight, pool, &scratch_);
+    return;
+  }
   const int64_t m = geom_.group_out();
   const int64_t k = geom_.patch_size();
   const int64_t n = geom_.out_pixels();

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "kernels/direct_conv.h"
 #include "kernels/im2col.h"
 #include "util/scratch_pool.h"
 #include "util/thread_pool.h"
@@ -10,9 +11,8 @@ namespace mmlib::kernels {
 
 /// Strategy chosen for a convolution shape.
 enum class ConvAlgo {
-  /// Keep the layer's direct loop: depthwise/tiny shapes where packing
-  /// overhead exceeds the GEMM win (and the path non-deterministic
-  /// contexts always take).
+  /// Direct convolution in vector lanes (kernels/direct_conv.h):
+  /// depthwise and tiny shapes where packing overhead exceeds the GEMM win.
   kDirect,
   /// im2col gather into packed panels + cache-blocked GEMM.
   kIm2ColGemm,
@@ -37,20 +37,19 @@ class ConvPlan {
   int64_t nc() const { return nc_; }
   /// Reduction block (the GEMM's KC).
   int64_t kc() const { return kc_; }
-  /// Backward chunk count over (sample, group) tasks; sizes the
-  /// weight-gradient scratch and fixes the reduction order.
+  /// Backward chunk count, over (sample, group) tasks for the GEMM
+  /// algorithms and over samples for kDirect; sizes the weight-gradient
+  /// scratch and fixes the reduction order.
   int64_t backward_chunks() const { return backward_chunks_; }
 
   util::ScratchPool* scratch() const { return &scratch_; }
 
   /// y(batch, out_channels, out_h, out_w) = conv(x, w). Overwrites y.
-  /// Requires algo() != kDirect.
   void Forward(const float* input, const float* weight, float* output,
                util::ThreadPool* pool) const;
 
   /// grad_input += col2im(W^T . gout) (expects grad_input zero-filled) and
-  /// grad_weight += gout . col^T, both in fixed order. Requires
-  /// algo() != kDirect.
+  /// grad_weight += gout . col^T, both in fixed order.
   void Backward(const float* input, const float* weight,
                 const float* grad_output, float* grad_input,
                 float* grad_weight, util::ThreadPool* pool) const;
@@ -65,6 +64,7 @@ class ConvPlan {
   bool forward_rows_outer_ = false;
   bool data_grad_rows_outer_ = false;
   bool weight_grad_rows_outer_ = false;
+  DirectTiling direct_;  // kDirect only
   mutable util::ScratchPool scratch_;
 };
 

@@ -68,6 +68,17 @@ void Conv2d::GatherPatch(const float* input, int64_t height, int64_t width,
   }
 }
 
+const kernels::ConvPlan& Conv2d::PlanFor(int64_t batch, int64_t height,
+                                         int64_t width) {
+  if (!plan_ || plan_->geom().batch != batch ||
+      plan_->geom().height != height || plan_->geom().width != width) {
+    plan_ = kernels::PlanCache::Instance().GetConvPlan(kernels::ConvGeom{
+        batch, in_channels_, out_channels_, kernel_size_, stride_, padding_,
+        groups_, height, width, cached_out_h_, cached_out_w_});
+  }
+  return *plan_;
+}
+
 Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
                                ExecutionContext* ctx) {
   MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
@@ -92,34 +103,22 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
 
   Tensor y(Shape{batch, out_channels_, out_h, out_w});
   const float* weight = params_[0].value.data();
-  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
-  const bool fast_det = kernel_size_ == 1 && padding_ == 0;
 
-  // Deterministic executions go through the kernel-plan layer: the plan's
+  // Deterministic executions run in the kernel-plan layer: every plan's
   // reduction order is a pure function of the shape, so any pool size
-  // produces bit-identical results. Non-deterministic executions stay on
-  // the direct loop below, which models scheduler-driven reduction splits.
+  // produces bit-identical results. Non-deterministic executions take the
+  // direct loop below, which models scheduler-driven reduction splits.
   if (ctx->deterministic()) {
-    const kernels::ConvGeom geom{batch,        in_channels_, out_channels_,
-                                 kernel_size_, stride_,      padding_,
-                                 groups_,      height,       width,
-                                 out_h,        out_w};
-    if (!plan_ || plan_->geom().batch != batch ||
-        plan_->geom().height != height || plan_->geom().width != width) {
-      plan_ = kernels::PlanCache::Instance().GetConvPlan(geom);
-    }
-    if (plan_->algo() != kernels::ConvAlgo::kDirect) {
-      plan_->Forward(x.data(), weight, y.data(), ctx->pool());
-      return y;
-    }
+    PlanFor(batch, height, width).Forward(x.data(), weight, y.data(),
+                                          ctx->pool());
+    return y;
   }
 
   // Shard over (sample, group): every task writes a disjoint channel block
-  // of y, and each output element is a complete fixed-order AccumulateDot,
-  // so results are bit-identical for any chunking and any thread count.
+  // of y, each output element one scheduler-split dot product.
+  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
   const int64_t tasks = batch * groups_;
   const int64_t grain = util::GrainForMaxChunks(tasks, kMaxForwardChunks);
-  const bool deterministic = ctx->deterministic();
   const uint64_t epoch = ctx->NextParallelEpoch();
   util::ParallelFor(
       ctx->pool(), tasks, grain,
@@ -138,8 +137,7 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
                 y.data()[((n * out_channels_ + out_channel) * out_h + oy) *
                              out_w +
                          ox] =
-                    AccumulateDotKernel(wrow, patch.data(), patch_size,
-                                        fast_det, deterministic, &scheduler);
+                    ScheduledDot(wrow, patch.data(), patch_size, &scheduler);
               }
             }
           }
@@ -163,43 +161,25 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
   MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
       grad_output.shape(), Shape{batch, out_channels_, out_h, out_w},
       "conv2d " + name_ + " grad_output"));
-  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
-  const bool fast_det = kernel_size_ == 1 && padding_ == 0;
-
   const float* weight = params_[0].value.data();
   float* grad_weight = params_[0].grad.data();
-  const size_t gw_numel = static_cast<size_t>(params_[0].grad.numel());
   Tensor grad_input(x.shape());
+  std::vector<Tensor> grads;
 
-  const bool deterministic = ctx->deterministic();
-
-  // Mirror Forward's dispatch: deterministic executions of planned shapes
-  // run both gradient GEMMs through the plan layer.
-  if (deterministic) {
-    const kernels::ConvGeom geom{batch,        in_channels_, out_channels_,
-                                 kernel_size_, stride_,      padding_,
-                                 groups_,      height,       width,
-                                 out_h,        out_w};
-    if (!plan_ || plan_->geom().batch != batch ||
-        plan_->geom().height != height || plan_->geom().width != width) {
-      plan_ = kernels::PlanCache::Instance().GetConvPlan(geom);
-    }
-    if (plan_->algo() != kernels::ConvAlgo::kDirect) {
-      plan_->Backward(x.data(), weight, grad_output.data(), grad_input.data(),
-                      grad_weight, ctx->pool());
-      std::vector<Tensor> grads;
-      grads.push_back(std::move(grad_input));
-      return grads;
-    }
+  if (ctx->deterministic()) {
+    PlanFor(batch, height, width)
+        .Backward(x.data(), weight, grad_output.data(), grad_input.data(),
+                  grad_weight, ctx->pool());
+    grads.push_back(std::move(grad_input));
+    return grads;
   }
   // Weight gradients accumulate across every output position — on parallel
   // devices this is the classic source of convolution-backward
   // nondeterminism (atomic reduction order). Here every chunk accumulates
-  // into its own scratch buffer (compensated for spatial kernels in
-  // deterministic mode, paper Section 4.5) and the scratch buffers are
-  // reduced in fixed chunk-index order below, so the result never depends
-  // on the thread count.
-  const bool compensated_weight_grad = deterministic && !fast_det;
+  // into its own scratch buffer and the buffers are reduced in chunk order
+  // below; the input-gradient dot products take scheduler-chosen splits.
+  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
+  const size_t gw_numel = static_cast<size_t>(params_[0].grad.numel());
 
   // Weight transposed within each group: [patch_size][group_out]. Shared
   // read-only by all chunks.
@@ -225,10 +205,6 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
         std::vector<float> patch(patch_size);
         std::vector<float> grad_patch(patch_size);
         std::vector<float> gout_vec(group_out_);
-        std::vector<float> compensation;
-        if (compensated_weight_grad) {
-          compensation.assign(gw_numel, 0.0f);
-        }
         float* gw_chunk = weight_grad_scratch.data() + chunk_index * gw_numel;
         Rng scheduler(ctx->ChunkSchedulerSeed(epoch, chunk_index));
         for (int64_t n = n_begin; n < n_end; ++n) {
@@ -256,26 +232,15 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
                   const int64_t row_offset =
                       (g * group_out_ + oc) * patch_size;
                   float* gwrow = gw_chunk + row_offset;
-                  if (compensated_weight_grad) {
-                    float* comp = compensation.data() + row_offset;
-                    for (int64_t j = 0; j < patch_size; ++j) {
-                      const float y = gv * patch[j] - comp[j];
-                      const float t = gwrow[j] + y;
-                      comp[j] = (t - gwrow[j]) - y;
-                      gwrow[j] = t;
-                    }
-                  } else {
-                    for (int64_t j = 0; j < patch_size; ++j) {
-                      gwrow[j] += gv * patch[j];
-                    }
+                  for (int64_t j = 0; j < patch_size; ++j) {
+                    gwrow[j] += gv * patch[j];
                   }
                 }
                 // Input gradients: grad_patch[j] = W^T[j] . gout.
                 for (int64_t j = 0; j < patch_size; ++j) {
-                  grad_patch[j] = AccumulateDotKernel(
+                  grad_patch[j] = ScheduledDot(
                       weight_t.data() + (g * patch_size + j) * group_out_,
-                      gout_vec.data(), group_out_, fast_det, deterministic,
-                      &scheduler);
+                      gout_vec.data(), group_out_, &scheduler);
                 }
                 // Scatter grad_patch back to grad_input; sample n belongs
                 // to exactly one chunk, so these writes are disjoint.
@@ -304,17 +269,12 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
         }
       });
 
-  // Fixed-order reduction of the per-chunk weight gradients; chunk
-  // boundaries are thread-count independent, so this sum is bit-exact for
-  // every pool size.
   for (size_t c = 0; c < num_chunks; ++c) {
     const float* gw_chunk = weight_grad_scratch.data() + c * gw_numel;
     for (size_t j = 0; j < gw_numel; ++j) {
       grad_weight[j] += gw_chunk[j];
     }
   }
-
-  std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;
 }

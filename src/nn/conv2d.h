@@ -13,13 +13,13 @@ namespace mmlib::nn {
 /// gives a depthwise convolution as used by MobileNetV2). No bias — all zoo
 /// architectures follow conv → batch-norm, where a bias is redundant.
 ///
-/// Determinism: in deterministic mode, non-trivial shapes run through a
-/// kernels::ConvPlan (im2col + cache-blocked GEMM) whose reduction order is
-/// a pure function of the shape, so results are bit-identical at any pool
-/// size. Depthwise/tiny shapes, and every non-deterministic execution, use
-/// the direct loop below; non-deterministic mode keeps its scheduler-driven
-/// reduction splits (the mechanism behind paper Figure 13's determinism
-/// overhead comparison).
+/// Determinism: in deterministic mode every shape runs through a
+/// kernels::ConvPlan (im2col + cache-blocked GEMM, or the lane-parallel
+/// direct kernel for depthwise/tiny shapes) whose reduction order is a pure
+/// function of the shape, so results are bit-identical at any pool size.
+/// Non-deterministic executions use the direct loop below with its
+/// scheduler-driven reduction splits (the mechanism behind paper Figure
+/// 13's determinism overhead comparison).
 class Conv2d : public Layer {
  public:
   /// Draws the weight Kaiming-normal from `rng`; a null `rng` leaves it
@@ -46,6 +46,10 @@ class Conv2d : public Layer {
                    int64_t n, int64_t g, int64_t oy, int64_t ox,
                    float* patch) const;
 
+  /// The plan for this geometry (cached_out_h_/w_ must be current).
+  const kernels::ConvPlan& PlanFor(int64_t batch, int64_t height,
+                                   int64_t width);
+
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_size_;
@@ -58,8 +62,8 @@ class Conv2d : public Layer {
   int64_t cached_out_h_ = 0;  // output extent of the last Forward
   int64_t cached_out_w_ = 0;
   bool has_forward_ = false;
-  /// Plan for the last Forward geometry; refreshed from the PlanCache when
-  /// the input shape changes. Null until the first deterministic Forward.
+  /// Plan for the last deterministic geometry; refreshed from the
+  /// PlanCache when the input shape changes. Null until first needed.
   std::shared_ptr<const kernels::ConvPlan> plan_;
 };
 

@@ -132,6 +132,11 @@ float AccumulateDotKernel(const float* a, const float* b, size_t n,
     }
     return sum;
   }
+  return ScheduledDot(a, b, n, scheduler_rng);
+}
+
+float ScheduledDot(const float* a, const float* b, size_t n,
+                   Rng* scheduler_rng) {
   // Short reductions are not worth parallelizing on a real device; they
   // stay serial (and thus deterministic) in both modes.
   constexpr size_t kMinParallelLength = 32;

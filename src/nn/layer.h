@@ -117,5 +117,10 @@ float AccumulateDotKernel(const float* a, const float* b, size_t n,
                           bool has_fast_det_kernel, bool deterministic,
                           Rng* scheduler_rng);
 
+/// The non-deterministic branch of AccumulateDotKernel: plain summation
+/// split at a point drawn from `scheduler_rng` (serial below 32 terms).
+float ScheduledDot(const float* a, const float* b, size_t n,
+                   Rng* scheduler_rng);
+
 }  // namespace mmlib::nn
 
